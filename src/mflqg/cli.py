@@ -622,12 +622,18 @@ def main(argv=None) -> int:
     except (RegularityError, IntegrationError) as exc:
         t = getattr(exc, "t", None)
         where = f" near t = {t:.6g}" if t is not None else ""
+        if args.command == "perturb":
+            way_out = ("the rung at the eps named above has no regular "
+                       "solution on this grid; a larger smallest eps "
+                       "(a larger --eps0 or fewer --eps-steps) may keep "
+                       "every rung solvable")
+        else:
+            way_out = ("the closed-loop equations have no regular "
+                       "solution for this data (a convexifying --eps "
+                       "shift may make the game solvable)")
         print(f"numerical breakdown{where}: {exc}\n"
               "hint: a weight block loses definiteness or the flow "
-              "escapes near this time; the closed-loop equations have "
-              "no regular solution for this data (a convexifying "
-              "--eps shift may make the game solvable)",
-              file=sys.stderr)
+              f"escapes near this time; {way_out}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

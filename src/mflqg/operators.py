@@ -13,12 +13,13 @@ maximizer's block negative semidefinite whenever an open-loop saddle
 exists, so a sign failure on any finite section is a certificate of
 non-existence (a pass is evidence only — deterministic sections do
 not span the stochastic control space).  This module assembles such
-sections by polarization of exact functional evaluations, checks the
-sign blocks, solves the sectioned saddle (exactly, or through the
-same convexifying shift used on the full game), and provides the two
-matrix facts the perturbation analysis rests on: the compressed
-Schur-complement positivity gap and the contraction property of the
-shifted inverse.
+sections by linear response (the mean is linear in the initial state
+and the coefficients, and the covariance costs through one backward
+Lyapunov flow), checks the sign blocks, solves the sectioned saddle
+(exactly, or through the same convexifying shift used on the full
+game), and provides the two matrix facts the perturbation analysis
+rests on: the compressed Schur-complement positivity gap and the
+contraction property of the shifted inverse.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
 
 _SYM_TOL = 1e-12     # declared symmetry slack for operator blocks
 _SIGN_TOL = 1e-10    # slack when certifying PSD/NSD preconditions
-_BATCH = 512         # functional evaluations per engine sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,64 +165,26 @@ def _basis_offsets(spec: GameSpec, grid: TimeGrid, blocks: int,
 
 def build_section(spec: GameSpec, grid: TimeGrid,
                   basis_blocks: int) -> OperatorSection:
-    """Assemble the sectioned quadratic form by polarization.
+    """Assemble the sectioned quadratic form by linear response.
 
-    Every entry comes from exact moment-ODE evaluations of the
-    functional at basis combinations under the zero law:
-
-        M[a, a] = J(0; e_a)
-        M[a, b] = (J(0; e_a + e_b) - J(0; e_a) - J(0; e_b)) / 2
-        K[a, j] = (J(x_j; e_a) - J(0; e_a) - J(x_j; 0)) / 2
-        O[j, j] = J(x_j; 0)
-        O[j, k] = (J(x_j + x_k; 0) - J(x_j; 0) - J(x_k; 0)) / 2
-
-    over unit initial states x_j.  ``basis_blocks`` must divide the
-    grid so indicator edges sit on nodes.
+    Under the zero law the state mean is linear in the initial state
+    x and the coefficients c, and the covariance enters the cost only
+    through the noise-intensity mean, so one forward sweep of the
+    mean response and one backward Lyapunov sweep give the whole form
+    [x; c]' H [x; c] (``_MomentEngine.form``); O, K and M are its
+    state-state, control-state and control-control blocks.
+    ``basis_blocks`` must divide the grid so indicator edges sit on
+    nodes.
     """
     if basis_blocks < 1 or grid.N % basis_blocks != 0:
         raise ValueError("basis_blocks must divide the grid intervals")
-    m, n = spec.m, spec.n
-    d = m * basis_blocks
+    n, d = spec.n, spec.m * basis_blocks
     zero = ControlLaw.zero(spec, grid)
     eng = _MomentEngine(spec, zero.times, zero.gain, zero.mean_gain)
-
-    def evaluate(initial, coeff_rows):
-        out = np.empty(coeff_rows.shape[0])
-        for lo in range(0, coeff_rows.shape[0], _BATCH):
-            chunk = coeff_rows[lo:lo + _BATCH]
-            offs = _basis_offsets(spec, grid, basis_blocks, chunk)
-            vals, _, _, _ = eng.run(initial, offs)
-            out[lo:lo + chunk.shape[0]] = vals
-        return out
-
-    eye = np.eye(d)
-    origin = np.zeros(n)
-    diag = evaluate(origin, eye)                       # J(0; e_a)
-    M = np.diag(diag)
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    if pairs:
-        rows = np.stack([eye[a] + eye[b] for a, b in pairs])
-        for (a, b), v in zip(pairs, evaluate(origin, rows)):
-            M[a, b] = M[b, a] = 0.5 * (v - diag[a] - diag[b])
-
-    states = np.eye(n)
-    base = np.array([evaluate(states[j], np.zeros((1, d)))[0]
-                     for j in range(n)])               # J(x_j; 0)
-    K = np.empty((d, n))
-    for j in range(n):
-        at_x = evaluate(states[j], eye)                # J(x_j; e_a)
-        K[:, j] = 0.5 * (at_x - diag - base[j])
-
-    O = np.diag(base)
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = evaluate(states[j] + states[k], np.zeros((1, d)))[0]
-            O[j, k] = O[k, j] = 0.5 * (v - base[j] - base[k])
-
-    d1 = spec.m1 * basis_blocks
-    op = BlockOperator.from_matrix(0.5 * (M + M.T), d1)
-    return OperatorSection(m_section=op, k_section=K,
-                           o_section=0.5 * (O + O.T), grid=grid,
+    H = eng.form(_basis_offsets(spec, grid, basis_blocks, np.eye(d)))
+    op = BlockOperator.from_matrix(H[n:, n:], spec.m1 * basis_blocks)
+    return OperatorSection(m_section=op, k_section=H[n:, :n],
+                           o_section=H[:n, :n], grid=grid,
                            blocks=basis_blocks, m1=spec.m1, m2=spec.m2)
 
 

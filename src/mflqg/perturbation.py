@@ -259,7 +259,9 @@ class EpsFamilyReport:
     the minimal-norm open-loop saddle), "not-solvable" (norms grow
     like a power of 1/eps), or "inconclusive".  ``exponent`` is the
     fitted growth power p in |u_eps| ~ eps^{-p}; ``distances`` are
-    L2 gaps between consecutive realized controls.
+    L2 gaps between consecutive realized controls.  ``saddle``
+    certifies ``limit`` (the last iterate) on the game shifted by the
+    last eps, the game that law solves.
     """
 
     x: np.ndarray
@@ -290,7 +292,9 @@ def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
     families (p < 0.1) whose final consecutive distance is below
     ``tol`` are declared solvable, clear power laws (p > 0.9)
     not-solvable, anything else inconclusive.  ``verify=True``
-    additionally runs the open-loop saddle check on the limit law.
+    additionally runs the open-loop saddle check on the limit law (the
+    last iterate), against the game it solves: the one shifted by the
+    last eps.
     """
     schedule = schedule or EpsSchedule()
     xvec = np.asarray(x, dtype=float).reshape(spec.n)
@@ -325,7 +329,11 @@ def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
     limit = iterates[-1].feedback if verdict == "solvable" else None
     saddle = None
     if verify and limit is not None:
-        saddle = verify_saddle(spec, limit, xvec)
+        # the limit law is the last iterate, a saddle of its own shifted
+        # game: against the unshifted one the shift alone leaves a
+        # stationarity defect of 2 eps |u2|
+        saddle = verify_saddle(embed_perturbation(spec, iterates[-1].eps),
+                               limit, xvec)
     return EpsFamilyReport(x=xvec, schedule=schedule,
                            iterates=tuple(iterates), norms=norms,
                            values=values, distances=distances,

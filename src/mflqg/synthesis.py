@@ -169,7 +169,8 @@ class _MomentEngine:
     RK4 sweep, since offsets enter the moment dynamics only through
     the control mean.  Cost and squared control norm accumulate by
     Simpson's rule with Hermite midpoint states, matching the
-    integrator's fourth order.
+    integrator's fourth order.  ``form`` returns the functional over
+    spans of offset paths as one quadratic form instead.
     """
 
     def __init__(self, spec: GameSpec, times: np.ndarray, gain: np.ndarray,
@@ -266,6 +267,78 @@ class _MomentEngine:
         if record:
             return value, norm_sq, mean_path, cov_path
         return value, norm_sq, None, None
+
+    def form(self, v: np.ndarray) -> np.ndarray:
+        """The functional as a quadratic form in (x0, offset weights).
+
+        v holds d offset paths, shape (d, K, m).  Returns the symmetric
+        (n+d) x (n+d) matrix H with J(x0; sum_a c_a v_a) = z' H z for
+        z = (x0, c), the control being this engine's law plus the
+        combined offset.  The mean is linear in z: one forward sweep
+        of its n x (n+d) response.  The covariance enters the cost
+        only through g = Csum m + Dsum E[u], because tr(G Sigma(T)) +
+        int tr(W Sigma) = int g' Lam g along the backward Lyapunov
+        flow -Lam' = F' Lam + Lam F + Gm' Lam Gm + W, Lam(T) = G.
+        Both sweeps take ``run``'s samples, RK4 stages and Hermite
+        midpoints; the cost is one Simpson-weighted contraction over
+        the partition.
+        """
+        ta, times = self.ta, self.times
+        K, n, m, d = times.shape[0], ta.n, ta.m, v.shape[0]
+        # E[u] = mean_gain m + U z: U picks the offset weights out of z
+        U = np.zeros((K, m, n + d))
+        U[:, :, n:] = np.transpose(v, (1, 2, 0))
+        drift = ta.Asum + ta.Bsum @ self.mean_gain
+        push = ta.Bsum @ U
+        Phi = _sweep(times, np.eye(n, n + d),
+                     lambda k, P: drift[k] @ P + push[k])
+
+        def lyapunov(k, L):
+            LF = L @ self.F[k]
+            return -(LF + LF.T + self.Gm[k].T @ L @ self.Gm[k] + self.W[k])
+
+        Lam = _sweep(times, ta.G, lyapunov, backward=True)
+        Eu = self.mean_gain @ Phi + U
+        g = ta.Csum @ Phi + ta.Dsum @ Eu
+        Y = np.concatenate((Phi, Eu), axis=1)
+        cost = np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, ta.Rsum]])
+        # Simpson weights of the samples, boundaries shared by segments
+        h = np.diff(times[::2]) / 6.0
+        w = np.zeros((K, 1, 1))
+        w[1::2, 0, 0] = 4.0 * h
+        w[:-1:2, 0, 0] += h
+        w[2::2, 0, 0] += h
+        H = (np.tensordot(Y, w * (cost @ Y), ((0, 1),) * 2)
+             + np.tensordot(g, w * (Lam @ g), ((0, 1),) * 2)
+             + Phi[-1].T @ ta.Gsum @ Phi[-1])
+        return _sym(H)
+
+
+def _sweep(times: np.ndarray, y0: np.ndarray, rhs, backward: bool = False):
+    """Samples of y' = rhs(k, y) at every time of a law's partition.
+
+    One RK4 step per segment (boundaries at even indices), its middle
+    stages at the midpoint sample; the midpoint value is the Hermite
+    interpolant of the step's end values and slopes.  ``y0`` is the
+    value at the first time, or at the last when ``backward``.
+    """
+    K = times.shape[0]
+    path = np.empty((K,) + y0.shape)
+    first, last, step = (K - 1, 0, -2) if backward else (0, K - 1, 2)
+    y = path[first] = y0
+    f = rhs(first, y)
+    for i0 in range(first, last, step):
+        i1, i2 = i0 + step // 2, i0 + step
+        h = times[i2] - times[i0]
+        k2 = rhs(i1, y + (0.5 * h) * f)
+        k3 = rhs(i1, y + (0.5 * h) * k2)
+        k4 = rhs(i2, y + h * k3)
+        y_n = y + (h / 6.0) * (f + 2.0 * (k2 + k3) + k4)
+        f_n = rhs(i2, y_n)
+        path[i1] = hermite_midpoint(y, y_n, f, f_n, h)
+        path[i2] = y = y_n
+        f = f_n
+    return path
 
 
 def _as_control_law(law) -> ControlLaw:
@@ -625,16 +698,19 @@ def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6,
 
 
 def write_moments_csv(path, moments: MomentPath) -> None:
-    """Boundary rows of the moment path: t, mean, covariance entries."""
+    """Boundary rows of the moment path: t, mean, covariance, control mean."""
     n = moments.mean.shape[1]
+    m = moments.control_mean.shape[1]
     header = (["t"] + [f"mean_{i}" for i in range(n)]
-              + [f"cov_{i}_{j}" for i in range(n) for j in range(n)])
+              + [f"cov_{i}_{j}" for i in range(n) for j in range(n)]
+              + [f"control_mean_{k}" for k in range(m)])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for k in range(0, moments.times.shape[0], 2):
             row = ([f"{moments.times[k]:.17g}"]
                    + [f"{x:.17g}" for x in moments.mean[k]]
-                   + [f"{x:.17g}" for x in moments.cov[k].ravel()])
+                   + [f"{x:.17g}" for x in moments.cov[k].ravel()]
+                   + [f"{x:.17g}" for x in moments.control_mean[k]])
             fh.write(",".join(row) + "\n")
 
 

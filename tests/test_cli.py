@@ -158,6 +158,30 @@ def test_perturb_blowup_family(capsys):
     assert "limit" not in rep
 
 
+def test_perturb_certifies_degenerate_limit(capsys):
+    # the limit law is certified on the game shifted by limit.eps, the
+    # game it solves
+    code, rep, _ = run(capsys, "perturb", "--example", "52",
+                       "--grid", "500")
+    assert code == EXIT_PASS
+    assert rep["verdict"] == "solvable"
+    assert rep["limit"]["saddle_verified"] is True
+    stat = rep["limit"]["saddle"]["stationarity_sup"]
+    assert stat["value"] <= stat["tol"]
+
+
+def test_perturb_breakdown_hint_suggests_schedule_flags(capsys):
+    # the 1e-10 rung's terminal layer escapes just above t = 0
+    code, _, cap = run(capsys, "perturb", "--example", "61", "--x", "1",
+                       "--grid", "100", "--eps0", "1e-6",
+                       "--eps-factor", "0.01", "--eps-steps", "3")
+    assert code == EXIT_NUMERIC
+    assert "eps = 1e-10" in cap.err
+    hint = cap.err.split("hint:", 1)[1]
+    assert "--eps0" in hint and "--eps-steps" in hint
+    assert "--eps " not in hint         # perturb has no --eps flag
+
+
 # ------------------------------------------------------------- verify
 
 def _write_candidate(path, times, offsets, extra=None):

@@ -8,9 +8,11 @@ from mflqg.operators import (BlockOperator, build_section,
                              check_necessary_condition, contraction_norm,
                              lemma_psd_gap, perturbed_inverse,
                              solve_section_saddle, write_section_csv)
-from mflqg.synthesis import evaluate_functional
+from mflqg.riccati import solve_riccati_pair
+from mflqg.synthesis import _MomentEngine, build_feedback, evaluate_functional
 
-from conftest import make_example52, make_example61, make_nosaddle
+from conftest import (make_example52, make_example61, make_nosaddle,
+                      random_instance)
 
 
 # ------------------------------------------------------------- blocks
@@ -54,6 +56,86 @@ def test_section_value_matches_direct_evaluation():
     x = np.array([0.5])
     direct = evaluate_functional(spec, sec.basis_law(spec, c), x).value
     assert sec.value(x, c) == pytest.approx(direct, abs=1e-10)
+
+
+def _polarized(spec, sec):
+    """The section's form entry by entry, by polarization of direct
+    evaluations: z' H z = J(x; sum_a c_a e_a) for z = (x, c)."""
+    n = spec.n
+    p = n + sec.basis_dim_1 + sec.basis_dim_2
+
+    def J(z):
+        law = sec.basis_law(spec, z[n:])
+        return evaluate_functional(spec, law, z[:n]).value
+
+    eye = np.eye(p)
+    diag = np.array([J(e) for e in eye])
+    H = np.diag(diag)
+    for a in range(p):
+        for b in range(a + 1, p):
+            H[a, b] = H[b, a] = 0.5 * (J(eye[a] + eye[b]) - diag[a] - diag[b])
+    return H
+
+
+def _oracle_gap(spec, grid, blocks):
+    """Largest entry gap of build_section against polarization, and
+    the scale 1 + max|M| it is measured against."""
+    sec = build_section(spec, grid, blocks)
+    H = _polarized(spec, sec)
+    n = spec.n
+    gap = max(np.max(np.abs(sec.m_section.matrix - H[n:, n:])),
+              np.max(np.abs(sec.k_section - H[n:, :n])),
+              np.max(np.abs(sec.o_section - H[:n, :n])))
+    return gap, 1.0 + np.max(np.abs(sec.m_section.matrix))
+
+
+@pytest.mark.parametrize("make, N, blocks", [
+    (make_example61, 400, 8), (make_example52, 256, 8),
+    (make_nosaddle, 400, 4)])
+def test_section_matches_polarization_oracle(make, N, blocks):
+    # the covariance of these games is either absent or costs through a
+    # constant Lyapunov flow, so both assemblies agree to roundoff
+    gap, scale = _oracle_gap(make(), TimeGrid(1.0, N), blocks)
+    assert gap <= 1e-12 * scale
+
+
+def _noisy_varying_games(seed, count=3):
+    """The first ``count`` random instances of a seed with a time-varying
+    drift or control coefficient (every instance is noisy)."""
+    rng = np.random.default_rng(seed)
+    games = []
+    while len(games) < count:
+        spec = random_instance(rng)
+        co = spec.coefficients
+        if co.A.kind != "constant" or co.B1.kind != "constant":
+            games.append(spec)
+    return games
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_section_matches_polarization_on_random_games(index):
+    # the engine marches the covariance while the form integrates its
+    # Lyapunov dual, so the two assemblies differ at quadrature order
+    spec = _noisy_varying_games(2026)[index]
+    gap, scale = _oracle_gap(spec, TimeGrid(1.0, 256), 4)
+    assert gap <= 1e-6 * scale
+
+
+def test_form_matches_moment_run_on_feedback_law():
+    spec = embed_perturbation(make_example61(), 0.5)
+    P, Pi = solve_riccati_pair(spec, TimeGrid(1.0, 200))
+    law = build_feedback(spec, P, Pi)
+    eng = _MomentEngine(spec, law.times, law.gain, law.mean_gain)
+    rng = np.random.default_rng(5)
+    t = law.times
+    shapes = np.stack((np.ones_like(t), t, t**2, np.sin(3.0 * t)))
+    v = np.einsum("amj,jk->akm", rng.standard_normal((3, 2, 4)), shapes)
+    H = eng.form(v)
+    for _ in range(4):
+        x, c = rng.standard_normal(1), rng.standard_normal(3)
+        value = eng.run(x, np.einsum("a,akm->km", c, v)[None])[0][0]
+        z = np.concatenate((x, c))
+        assert z @ H @ z == pytest.approx(value, rel=1e-6)
 
 
 def test_build_section_rejects_non_dividing_blocks():

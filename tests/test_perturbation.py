@@ -8,7 +8,7 @@ from mflqg.perturbation import (EpsSchedule, build_eps_iterate,
                                 classify_family, control_distance,
                                 write_family_csv)
 from mflqg.riccati import RegularityError, solve_riccati_pair
-from mflqg.synthesis import propagate_moments
+from mflqg.synthesis import propagate_moments, verify_saddle
 
 from conftest import draw_regular, make_example52, make_example61
 
@@ -132,6 +132,28 @@ def test_ladder_breakdown_names_failing_rung():
     assert "eps = 1e-10" in str(ladder.value)
     assert 1e-9 < ladder.value.t < 1e-8
     assert ladder.value.t == pytest.approx(alone.value.t, rel=0.5)
+
+
+def test_limit_law_certified_on_its_shifted_game():
+    # the limit law is the last iterate, the saddle of the game shifted
+    # by the last eps; on the unshifted game the shift alone leaves a
+    # stationarity defect of 2 eps |u2| = 2 eps here
+    spec = make_example52()
+    rep = classify_family(spec, EpsSchedule(), [1.0], TimeGrid(1.0, 500))
+    assert rep.verdict == "solvable"
+    assert rep.saddle.is_saddle
+    eps = rep.eps_values[-1]
+    unshifted = verify_saddle(spec, rep.limit, [1.0])
+    assert unshifted.stationarity_sup == pytest.approx(2.0 * eps, rel=1e-2)
+    # the same law with u2's offset moved by 1e-3 is no saddle of it
+    # (its feedback steers the state back, x(T) moves by 6e-7, and the
+    # stationarity defect reads 1.2e-6)
+    K = rep.limit.times.shape[0]
+    moved = rep.limit.as_control_law().with_bump(spec, 2, np.ones((K, 1)),
+                                                  1e-3)
+    bad = verify_saddle(embed_perturbation(spec, eps), moved, [1.0])
+    assert not bad.is_saddle
+    assert bad.stationarity_sup > bad.tol
 
 
 def test_control_distance_matches_shared_noise_simulation():
