@@ -26,7 +26,6 @@ __all__ = [
     "IntegrationError",
     "CoefficientCache",
     "integrate_backward",
-    "segment_simpson",
     "hermite_midpoint",
 ]
 
@@ -177,7 +176,12 @@ class _TimeArrays:
 
 def _T(M: np.ndarray) -> np.ndarray:
     """Transpose the trailing matrix axes of a stack."""
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
+
+
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products M[...] @ x[...]."""
+    return (M @ x[..., None])[..., 0]
 
 
 def _rung_max(y: np.ndarray) -> np.ndarray:
@@ -316,9 +320,16 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
         y_m, f_m = _segment(t0, t_mid, y0, f0, depth + 1)
         return _segment(t_mid, t1, y_m, f_m, depth + 1)
 
-    for k in range(grid.N, 0, -1):
-        y, f_at = _segment(nodes[k], nodes[k - 1], y, f_at, 0)
-        node_pos_desc.append(len(times_desc) - 1)
+    try:
+        for k in range(grid.N, 0, -1):
+            y, f_at = _segment(nodes[k], nodes[k - 1], y, f_at, 0)
+            node_pos_desc.append(len(times_desc) - 1)
+    finally:
+        # _segment reaches itself through its closure cell; emptying the
+        # cell breaks that cycle, so the partition lists and ``rhs``
+        # (with any coefficient memo it holds) are freed on return, not
+        # when the cyclic collector next runs
+        del _segment
 
     times = np.array(times_desc[::-1])
     values = np.stack(values_desc[::-1])
@@ -334,16 +345,3 @@ def _raises_linalg(rhs, t, y) -> bool:
     except np.linalg.LinAlgError:
         return True
     return False
-
-
-def segment_simpson(times: np.ndarray, integrand: np.ndarray) -> float:
-    """Composite Simpson rule over a boundary/midpoint partition.
-
-    ``integrand`` is sampled on ``times`` (boundaries at even indices,
-    midpoints at odd indices); each segment contributes
-    (width/6) * (g0 + 4 g_mid + g1).
-    """
-    g = np.asarray(integrand, dtype=float)
-    widths = times[2::2] - times[:-1:2]
-    return float(np.sum((widths / 6.0)
-                        * (g[:-1:2] + 4.0 * g[1::2] + g[2::2])))

@@ -269,13 +269,6 @@ class CostWeights:
     R22: CoefficientPath
     R22bar: CoefficientPath
 
-    def r21(self, t: float) -> np.ndarray:
-        """R21(t), bit-exactly the transpose of the stored R12(t)."""
-        return self.R12.eval(t).T
-
-    def r21bar(self, t: float) -> np.ndarray:
-        return self.R12bar.eval(t).T
-
     def __eq__(self, other):
         if not isinstance(other, CostWeights):
             return NotImplemented
@@ -408,13 +401,6 @@ class ControlLaw:
         for name in ("gain", "mean_gain", "offset"):
             if getattr(self, name).shape[0] != K:
                 raise ValueError(f"{name} not aligned with times")
-
-    @property
-    def node_values(self):
-        """(times, gain, mean_gain, offset) restricted to boundaries."""
-        sl = slice(0, None, 2)
-        return (self.times[sl], self.gain[sl], self.mean_gain[sl],
-                self.offset[sl])
 
     @classmethod
     def zero(cls, spec: GameSpec, grid: TimeGrid) -> "ControlLaw":

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import _T, _TimeArrays
+from ._integrate import _mv, _T, _TimeArrays
 from .model import DEFAULT_DELTA, GameSpec, TimeGrid, embed_perturbation
-from .riccati import DEFAULT_RTOL, RiccatiSolution, _solve_pairs
-from .synthesis import (FeedbackLaw, build_feedback, evaluate_functional,
-                        verify_saddle, SaddleReport)
+from .riccati import (DEFAULT_RTOL, RiccatiSolution, _eps_shift, _solve_pairs,
+                      solve_riccati_pair)
+from .synthesis import (FeedbackLaw, SaddleReport, _feedback_fields,
+                        _MomentEngine, build_feedback, evaluate_functional,
+                        verify_saddle)
 
 __all__ = [
     "EpsSchedule",
@@ -76,29 +78,54 @@ class EpsIterate:
 
 def build_eps_iterate(spec: GameSpec, eps: float, grid: TimeGrid, x,
                       delta: float | None = None) -> EpsIterate:
-    """Solve the eps-shifted game and realize its feedback optimum."""
-    return _solve_iterates(spec, [eps], grid, x, delta)[0]
+    """Solve the eps-shifted game and realize its feedback optimum.
+
+    The one-rung composition of the public steps, which the batched
+    ladder of ``classify_family`` is tested against.
+    """
+    shifted = embed_perturbation(spec, eps)
+    P, Pi = solve_riccati_pair(shifted, grid,
+                               DEFAULT_DELTA if delta is None else delta)
+    feedback = build_feedback(shifted, P, Pi)
+    report = evaluate_functional(shifted, feedback, x)
+    return EpsIterate(eps=eps, riccati=P, mean_riccati=Pi,
+                      feedback=feedback, value=report.value,
+                      norm_sq=report.control_norm_sq)
 
 
 def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x,
                     delta: float | None) -> list:
-    """Iterates of every eps, their Riccati pairs solved in one sweep.
+    """Iterates of every eps, solved and realized together.
 
-    All rungs share one adaptive partition, so their laws share
-    ``times``.  A rung that breaks down raises RegularityError naming
-    its eps.
+    The rungs' Riccati pairs share one adaptive partition.  There one
+    sample of the spec, shifted per rung as the pair solve shifts it,
+    gives every rung's law, and one moment run every rung's value and
+    control norm.  A breakdown raises RegularityError naming its eps.
     """
-    shifted = [embed_perturbation(spec, e) for e in eps_values]
     pairs = _solve_pairs(spec, grid, eps_values,
                          DEFAULT_DELTA if delta is None else delta,
                          DEFAULT_RTOL)
+    times = pairs[0][0].times
+    shift = _eps_shift(spec, eps_values)
+    ta = _TimeArrays(spec, times)
+    # one rung at a time: stacking rungs saves no time in the core (its
+    # solves bound it) and its stacked temporaries raise peak memory
+    fields = [_feedback_fields(ta, P.values_fine, Pi.values_fine, shift[e])
+              for e, (P, Pi) in enumerate(pairs)]
+    engine = _MomentEngine(spec, times,
+                           np.stack([f["gain"] for f in fields]),
+                           np.stack([f["mean_gain"] for f in fields]),
+                           arrays=ta, shift=shift)
+    offsets = np.zeros((len(pairs), times.shape[0], spec.m))
+    values, norms_sq, _, _ = engine.run(x, offsets)
     iterates = []
-    for e, sp, (P, Pi) in zip(eps_values, shifted, pairs):
-        feedback = build_feedback(sp, P, Pi)
-        report = evaluate_functional(sp, feedback, x)
-        iterates.append(EpsIterate(eps=e, riccati=P, mean_riccati=Pi,
-                                   feedback=feedback, value=report.value,
-                                   norm_sq=report.control_norm_sq))
+    for e, (eps, (P, Pi)) in enumerate(zip(eps_values, pairs)):
+        law = FeedbackLaw(grid=grid, times=times, node_index=P.node_index,
+                          riccati=P.values_fine, mean_riccati=Pi.values_fine,
+                          **fields[e])
+        iterates.append(EpsIterate(eps=eps, riccati=P, mean_riccati=Pi,
+                                   feedback=law, value=float(values[e]),
+                                   norm_sq=float(norms_sq[e])))
     return iterates
 
 
@@ -141,10 +168,6 @@ def _sample(times: np.ndarray, arr: np.ndarray, tq: np.ndarray):
     w2 = (tq - t0) * (tq - t1) / ((t2 - t0) * (t2 - t1))
     ex = (...,) + (None,) * (arr.ndim - 1)
     return w0[ex] * arr[i0] + w1[ex] * arr[i0 + 1] + w2[ex] * arr[i0 + 2]
-
-
-def _mv(M, x):
-    return (M @ x[..., None])[..., 0]
 
 
 def _chain_distances(spec: GameSpec, laws: list, x) -> np.ndarray:

@@ -215,20 +215,23 @@ def _game_rhs(cache: CoefficientCache):
     return rhs
 
 
-def _control_rhs(cache: CoefficientCache, player: int):
-    m1 = cache.m1
-    lo, hi = (0, m1) if player == 1 else (m1, cache.m)
+def _columns(spec, player: int) -> slice:
+    """The control columns of one player in the stacked coefficients."""
+    return slice(0, spec.m1) if player == 1 else slice(spec.m1, spec.m)
 
+
+def _control_slope(st, cols: slice, P):
+    """Single-channel slope of the player owning control columns cols."""
+    Di = st.D[..., cols]
+    DtP = _T(Di) @ P
+    L = _T(st.B[..., cols]) @ P + DtP @ st.C + st.S[..., cols, :]
+    X = np.linalg.solve(st.R[..., cols, cols] + DtP @ Di, L)
+    return _flow(st.A, st.C, st.Q, P, P, L, X)
+
+
+def _control_rhs(cache: CoefficientCache, cols: slice):
     def rhs(t, P):
-        st = cache.at(t)
-        Bi = st.B[:, lo:hi]
-        Di = st.D[:, lo:hi]
-        Si = st.S[lo:hi, :]
-        Rii = st.R[lo:hi, lo:hi]
-        DtP = Di.T @ P
-        L = Bi.T @ P + DtP @ st.C + Si
-        X = np.linalg.solve(Rii + DtP @ Di, L)
-        return _flow(st.A, st.C, st.Q, P, P, L, X)
+        return _control_slope(cache.at(t), cols, P)
     return rhs
 
 
@@ -275,17 +278,6 @@ def _signed_block_margins(Sig_stack: np.ndarray, m1: int):
     mu1 = np.linalg.eigvalsh(Sig_stack[..., :m1, :m1])[..., 0]
     mu2 = np.linalg.eigvalsh(-Sig_stack[..., m1:, m1:])[..., 0]
     return mu1, mu2
-
-
-def _control_blocks(cache, t, P, player):
-    st = cache.at(t)
-    m1 = cache.m1
-    lo, hi = (0, m1) if player == 1 else (m1, cache.m)
-    Di = st.D[:, lo:hi]
-    Dib = st.Dsum[:, lo:hi]
-    Sig = st.R[lo:hi, lo:hi] + Di.T @ P @ Di
-    Sigb = st.Rsum[lo:hi, lo:hi] + Dib.T @ P @ Dib
-    return Sig, Sigb
 
 
 def _make_post():
@@ -394,23 +386,23 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
     cache = CoefficientCache(spec)
-    rhs = _control_rhs(cache, player)
+    cols = _columns(spec, player)
     times, values, node_index, asym = _integrate_rungs(
-        rhs, grid, cache.G[None], rtol)
+        _control_rhs(cache, cols), grid, cache.G[None], rtol)
     values = values[:, 0]
-    sign = 1.0 if player == 1 else -1.0
     node_vals = values[node_index]
-    pairs = [_control_blocks(cache, t, Pk, player)
-             for t, Pk in zip(grid.nodes, node_vals)]
-    Sig = np.stack([p[0] for p in pairs])
-    Sigb = np.stack([p[1] for p in pairs])
+    mids = _midpoint_index(times, node_index)
+    ta_n = _TimeArrays(spec, grid.nodes, cache)
+    ta_m = _TimeArrays(spec, times[mids], cache)
+    Di, Dib = ta_n.D[..., cols], ta_n.Dsum[..., cols]
+    Sig = ta_n.R[:, cols, cols] + _T(Di) @ node_vals @ Di
+    Sigb = ta_n.Rsum[:, cols, cols] + _T(Dib) @ node_vals @ Dib
     _cond_violations(Sig, grid.nodes, f"player {player} control weight")
+    sign = 1.0 if player == 1 else -1.0
     mu = np.linalg.eigvalsh(sign * Sig)[:, 0]
     mub = np.linalg.eigvalsh(sign * Sigb)[:, 0]
-    mids = _midpoint_index(times, node_index)
-    slope_mid = np.stack([rhs(t, Pm) for t, Pm in zip(times[mids],
-                                                      values[mids])])
-    residual = _sup_defect(node_vals[None], grid.h, slope_mid[None])[0]
+    residual = _sup_defect(node_vals[None], grid.h,
+                           _control_slope(ta_m, cols, values[mids])[None])[0]
     regular = bool(np.min(mu) >= delta and np.min(mub) >= delta)
     return RiccatiSolution(
         grid=grid, kind=f"control-{player}", times=times,
@@ -532,23 +524,13 @@ def assemble_dg_weights(spec: GameSpec, P: RiccatiSolution,
     """Evaluate the mean-equation weight paths at the grid nodes."""
     if not np.array_equal(P.grid.nodes, grid.nodes):
         raise GridMismatchError("P was solved on a different grid")
-    cache = CoefficientCache(spec)
-    N, n, m1, m2 = grid.N, spec.n, spec.m1, spec.m2
-    ups = np.empty((N + 1, n, n))
-    g1 = np.empty((N + 1, m1, n))
-    g2 = np.empty((N + 1, m2, n))
-    sb = np.empty((N + 1, spec.m, spec.m))
-    Pv = P.values
-    for k, t in enumerate(grid.nodes):
-        st = cache.at(t)
-        PCs = Pv[k] @ st.Csum
-        ups[k] = _sym(st.Qsum + st.Csum.T @ PCs)
-        DtPC = st.Dsum.T @ PCs
-        g1[k] = DtPC[:m1] + st.Ssum[:m1]
-        g2[k] = DtPC[m1:] + st.Ssum[m1:]
-        sb[k] = _sym(st.Rsum + st.Dsum.T @ Pv[k] @ st.Dsum)
-    return DGWeights(grid=grid, upsilon=ups, gamma1=g1, gamma2=g2,
-                     sigma_bar=sb)
+    ta = _TimeArrays(spec, grid.nodes)
+    Pv, m1 = P.values, spec.m1
+    PCs = Pv @ ta.Csum
+    DtPC = _T(ta.Dsum) @ PCs + ta.Ssum
+    return DGWeights(grid=grid, upsilon=_sym(ta.Qsum + _T(ta.Csum) @ PCs),
+                     gamma1=DtPC[:, :m1], gamma2=DtPC[:, m1:],
+                     sigma_bar=_sym(ta.Rsum + _T(ta.Dsum) @ Pv @ ta.Dsum))
 
 
 def check_strong_regularity(P: RiccatiSolution, spec: GameSpec,
@@ -573,10 +555,8 @@ def check_comparison(P: RiccatiSolution, P1: RiccatiSolution,
     for other in (P1, P2):
         if not np.array_equal(other.grid.nodes, P.grid.nodes):
             raise GridMismatchError("comparison requires one shared grid")
-    lower = np.array([np.linalg.eigvalsh(a - b)[0]
-                      for a, b in zip(P.values, P1.values)])
-    upper = np.array([np.linalg.eigvalsh(a - b)[0]
-                      for a, b in zip(P2.values, P.values)])
+    lower = np.linalg.eigvalsh(P.values - P1.values)[:, 0]
+    upper = np.linalg.eigvalsh(P2.values - P.values)[:, 0]
     passed = bool(lower.min() >= -tol and upper.min() >= -tol)
     return ComparisonReport(margin_lower=lower, margin_upper=upper,
                             tol=tol, passed=passed)
@@ -594,9 +574,9 @@ def riccati_residual(P: RiccatiSolution, spec: GameSpec, which: str) -> float:
     if which == "Ric1":
         rhs = _game_rhs(cache)
     elif which == "Ric-1":
-        rhs = _control_rhs(cache, 1)
+        rhs = _control_rhs(cache, _columns(spec, 1))
     elif which == "Ric-2":
-        rhs = _control_rhs(cache, 2)
+        rhs = _control_rhs(cache, _columns(spec, 2))
     elif which == "Ric2":
         comp = P.companion_values
         if comp is None:

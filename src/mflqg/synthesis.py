@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import CoefficientCache, _T, _TimeArrays, hermite_midpoint
+from ._integrate import _mv, _T, _TimeArrays, hermite_midpoint
 from .model import ControlLaw, GameSpec, TimeGrid
 from .riccati import GridMismatchError, RiccatiSolution
 
@@ -115,22 +115,33 @@ def build_feedback(spec: GameSpec, P: RiccatiSolution,
         raise GridMismatchError(
             "P and Pi share neither a partition nor a companion path")
     Pi_fine = Pi.values_fine
-    m1 = spec.m1
-    ta = _TimeArrays(spec, times)
-    DtP = _T(ta.D) @ P_fine
-    weight = _sym(ta.R + DtP @ ta.D)
-    gain = -np.linalg.solve(weight, _T(ta.B) @ P_fine + DtP @ ta.C + ta.S)
-    DtPs = _T(ta.Dsum) @ P_fine
-    mean_weight = _sym(ta.Rsum + DtPs @ ta.Dsum)
-    mean_gain = -np.linalg.solve(
-        mean_weight, _T(ta.Bsum) @ Pi_fine + DtPs @ ta.Csum + ta.Ssum)
-    mu1 = np.linalg.eigvalsh(weight[:, :m1, :m1])[:, 0]
-    mu2 = np.linalg.eigvalsh(-weight[:, m1:, m1:])[:, 0]
+    fields = _feedback_fields(_TimeArrays(spec, times), P_fine, Pi_fine)
     return FeedbackLaw(grid=P.grid, times=times, node_index=Pi.node_index
                        if Pi.companion_fine is not None else P.node_index,
-                       gain=gain, mean_gain=mean_gain, weight=weight,
-                       mean_weight=mean_weight, riccati=P_fine,
-                       mean_riccati=Pi_fine, margin_1=mu1, margin_2=mu2)
+                       riccati=P_fine, mean_riccati=Pi_fine, **fields)
+
+
+def _feedback_fields(ta: _TimeArrays, P: np.ndarray, Pi: np.ndarray,
+                     shift=0.0) -> dict:
+    """Gains, inverted weights and margins along sampled P and Pi paths.
+
+    P and Pi are sampled at ``ta``'s times.  ``shift`` is added to R
+    and R + Rbar as the pair solve adds it, so a ladder rung's law is
+    built on the unshifted spec's samples.  Returns the FeedbackLaw
+    fields of that name.
+    """
+    m1 = ta.m1
+    DtP = _T(ta.D) @ P
+    weight = _sym(ta.R + shift + DtP @ ta.D)
+    gain = -np.linalg.solve(weight, _T(ta.B) @ P + DtP @ ta.C + ta.S)
+    DtPs = _T(ta.Dsum) @ P
+    mean_weight = _sym(ta.Rsum + shift + DtPs @ ta.Dsum)
+    mean_gain = -np.linalg.solve(
+        mean_weight, _T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum)
+    return dict(gain=gain, mean_gain=mean_gain, weight=weight,
+                mean_weight=mean_weight,
+                margin_1=np.linalg.eigvalsh(weight[..., :m1, :m1])[..., 0],
+                margin_2=np.linalg.eigvalsh(-weight[..., m1:, m1:])[..., 0])
 
 
 def stationarity_residual(spec: GameSpec, law: FeedbackLaw) -> float:
@@ -141,20 +152,14 @@ def stationarity_residual(spec: GameSpec, law: FeedbackLaw) -> float:
     exactly synthesized law, so this measures solve quality and
     catches hand-assembled laws that do not match their Riccati paths.
     """
-    cache = CoefficientCache(spec)
-    worst = 0.0
-    for k, t in enumerate(law.times):
-        st = cache.at(t)
-        Pk, Pik = law.riccati[k], law.mean_riccati[k]
-        DtP = st.D.T @ Pk
-        r1 = (st.B.T @ Pk + DtP @ st.C + st.S
-              + (st.R + DtP @ st.D) @ law.gain[k])
-        DtPs = st.Dsum.T @ Pk
-        r2 = (st.Bsum.T @ Pik + DtPs @ st.Csum + st.Ssum
-              + (st.Rsum + DtPs @ st.Dsum) @ law.mean_gain[k])
-        worst = max(worst, float(np.linalg.norm(r1)),
-                    float(np.linalg.norm(r2)))
-    return worst
+    ta = _TimeArrays(spec, law.times)
+    P, Pi = law.riccati, law.mean_riccati
+    DtP, DtPs = _T(ta.D) @ P, _T(ta.Dsum) @ P
+    r1 = _T(ta.B) @ P + DtP @ ta.C + ta.S + (ta.R + DtP @ ta.D) @ law.gain
+    r2 = (_T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum
+          + (ta.Rsum + DtPs @ ta.Dsum) @ law.mean_gain)
+    return max(float(np.max(np.linalg.norm(r, axis=(1, 2))))
+               for r in (r1, r2))
 
 
 # ----------------------------------------------------------------------
@@ -164,33 +169,40 @@ def stationarity_residual(spec: GameSpec, law: FeedbackLaw) -> float:
 class _MomentEngine:
     """Batched closed-loop moment propagation and cost quadrature.
 
-    One engine is bound to a law's partition and gains; ``run``
-    evaluates the functional for a batch of offset paths in a single
-    RK4 sweep, since offsets enter the moment dynamics only through
-    the control mean.  Cost and squared control norm accumulate by
-    Simpson's rule with Hermite midpoint states, matching the
-    integrator's fourth order.  ``form`` returns the functional over
-    spans of offset paths as one quadratic form instead.
+    One engine is bound to a partition and to one law, gains of shape
+    (K, m, n), or to one law per batch row, (B, K, m, n), row b's R
+    and R + Rbar shifted by ``shift[b]`` (the rungs of a ladder).
+    ``run`` evaluates the functional for a batch of offset paths in a
+    single RK4 sweep, since offsets enter the moment dynamics only
+    through the control mean.  Cost and squared control norm
+    accumulate by Simpson's rule with Hermite midpoint states,
+    matching the integrator's fourth order.  ``form`` returns the
+    functional of one law over spans of offset paths as one quadratic
+    form instead.
     """
 
     def __init__(self, spec: GameSpec, times: np.ndarray, gain: np.ndarray,
-                 mean_gain: np.ndarray, arrays: _TimeArrays | None = None):
+                 mean_gain: np.ndarray, arrays: _TimeArrays | None = None,
+                 shift: np.ndarray | None = None):
         ta = arrays if arrays is not None else _TimeArrays(spec, times)
         if not np.array_equal(ta.times, times):
             raise ValueError("time arrays do not match the law partition")
         self.ta = ta
-        self.gain = gain
-        self.mean_gain = mean_gain
-        self.F = ta.A + np.einsum("kim,kmn->kin", ta.B, gain)
-        self.Gm = ta.C + np.einsum("kim,kmn->kin", ta.D, gain)
-        gS = np.einsum("kmi,kmj->kij", gain, ta.S)
-        self.W = (ta.Q + gS + np.swapaxes(gS, 1, 2)
-                  + np.einsum("kmi,kmr,krj->kij", gain, ta.R, gain))
-        self.gg = np.einsum("kmi,kmj->kij", gain, gain)
+        # per-law arrays carry a leading row axis of length 1 or B
+        gain = gain if gain.ndim == 4 else gain[None]
+        self.mean_gain = mean_gain if mean_gain.ndim == 4 else mean_gain[None]
+        R, self.Rsum = ta.R[None], ta.Rsum[None]
+        if shift is not None:
+            R, self.Rsum = R + shift[:, None], self.Rsum + shift[:, None]
+        self.F = ta.A + ta.B @ gain
+        self.Gm = ta.C + ta.D @ gain
+        gS = _T(gain) @ ta.S
+        self.W = ta.Q + gS + _T(gS) + _T(gain) @ R @ gain
+        self.gg = _T(gain) @ gain
         self.times = times
 
     def _eu(self, idx, mean, v):
-        return np.einsum("mn,bn->bm", self.mean_gain[idx], mean) + v[:, idx]
+        return _mv(self.mean_gain[:, idx], mean) + v[:, idx]
 
     def _rhs(self, idx, mean, cov, v):
         ta = self.ta
@@ -199,19 +211,19 @@ class _MomentEngine:
               + np.einsum("im,bm->bi", ta.Bsum[idx], eu))
         g = (np.einsum("ij,bj->bi", ta.Csum[idx], mean)
              + np.einsum("im,bm->bi", ta.Dsum[idx], eu))
-        FL = np.einsum("ij,bjk->bik", self.F[idx], cov)
-        GLG = np.einsum("ij,bjk,lk->bil", self.Gm[idx], cov, self.Gm[idx])
-        dC = FL + np.swapaxes(FL, 1, 2) + GLG + np.einsum("bi,bj->bij", g, g)
+        FL = self.F[:, idx] @ cov
+        Gm = self.Gm[:, idx]
+        dC = FL + _T(FL) + Gm @ cov @ _T(Gm) + g[:, :, None] * g[:, None, :]
         return dm, dC
 
     def _integrands(self, idx, mean, cov, v):
         ta = self.ta
         eu = self._eu(idx, mean, v)
-        c = (np.einsum("ij,bji->b", self.W[idx], cov)
+        c = (np.einsum("...ij,...ji->...", self.W[:, idx], cov)
              + np.einsum("bi,ij,bj->b", mean, ta.Qsum[idx], mean)
              + 2.0 * np.einsum("bm,mn,bn->b", eu, ta.Ssum[idx], mean)
-             + np.einsum("bm,mk,bk->b", eu, ta.Rsum[idx], eu))
-        nrm = (np.einsum("ij,bji->b", self.gg[idx], cov)
+             + np.einsum("...m,...mk,...k->...", eu, self.Rsum[:, idx], eu))
+        nrm = (np.einsum("...ij,...ji->...", self.gg[:, idx], cov)
                + np.einsum("bm,bm->b", eu, eu))
         return c, nrm
 
@@ -285,23 +297,25 @@ class _MomentEngine:
         """
         ta, times = self.ta, self.times
         K, n, m, d = times.shape[0], ta.n, ta.m, v.shape[0]
+        F, Gm, W, mean_gain = (a[0] for a in (self.F, self.Gm, self.W,
+                                              self.mean_gain))
         # E[u] = mean_gain m + U z: U picks the offset weights out of z
         U = np.zeros((K, m, n + d))
         U[:, :, n:] = np.transpose(v, (1, 2, 0))
-        drift = ta.Asum + ta.Bsum @ self.mean_gain
+        drift = ta.Asum + ta.Bsum @ mean_gain
         push = ta.Bsum @ U
         Phi = _sweep(times, np.eye(n, n + d),
                      lambda k, P: drift[k] @ P + push[k])
 
         def lyapunov(k, L):
-            LF = L @ self.F[k]
-            return -(LF + LF.T + self.Gm[k].T @ L @ self.Gm[k] + self.W[k])
+            LF = L @ F[k]
+            return -(LF + LF.T + Gm[k].T @ L @ Gm[k] + W[k])
 
         Lam = _sweep(times, ta.G, lyapunov, backward=True)
-        Eu = self.mean_gain @ Phi + U
+        Eu = mean_gain @ Phi + U
         g = ta.Csum @ Phi + ta.Dsum @ Eu
         Y = np.concatenate((Phi, Eu), axis=1)
-        cost = np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, ta.Rsum]])
+        cost = np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, self.Rsum[0]]])
         # Simpson weights of the samples, boundaries shared by segments
         h = np.diff(times[::2]) / 6.0
         w = np.zeros((K, 1, 1))
@@ -422,43 +436,39 @@ def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
     g = (np.einsum("kij,kj->ki", ta.Csum, mean)
          + np.einsum("kim,km->ki", ta.Dsum, eu))
     times = cl.times
-    K = times.shape[0]
+    K, n = times.shape[0], spec.n
     dt = np.diff(times)
     sq = np.sqrt(dt)
-    # deterministic cost pieces (mean-field terms) are path-independent
-    det = (np.einsum("ki,kij,kj->k", mean, ta.Qsum - ta.Q, mean)
-           + 2.0 * np.einsum("km,kmn,kn->k", eu, ta.Ssum - ta.S, mean)
-           + np.einsum("km,kmr,kr->k", eu, ta.Rsum - ta.R, eu))
-    det_run = float(np.sum(0.5 * dt * (det[:-1] + det[1:])))
-    det_term = float(mean[-1] @ (ta.Gsum - ta.G) @ mean[-1])
+    # the running cost is z' M z in z = (Y, 1), M = L' [[Q, S'], [S, R]] L
+    # for X = mean + Y and u = gain Y + E[u]; M's blocks are the engine's
+    # closed-loop weight W, lin, and the cost of the means, to which the
+    # path-independent mean-field terms are added
+    lin = (_mv(ta.Q, mean) + _mv(_T(ta.S), eu)
+           + _mv(_T(cl.gain), _mv(ta.S, mean) + _mv(ta.R, eu)))
+    const = (np.einsum("ki,kij,kj->k", mean, ta.Qsum, mean)
+             + 2.0 * np.einsum("km,kmn,kn->k", eu, ta.Ssum, mean)
+             + np.einsum("km,kmr,kr->k", eu, ta.Rsum, eu))
+    w = np.convolve(dt, (0.5, 0.5))       # trapezoid weights
+    wW, wlin2 = w[:, None, None] * eng.W[0], (2.0 * w)[:, None] * lin
+    G_mean = 2.0 * ta.G @ mean[-1]
+    fixed = float(w @ const) + float(mean[-1] @ ta.Gsum @ mean[-1])
+    FT, GT = _T(eng.F[0]), _T(eng.Gm[0])
 
     rng = np.random.default_rng(seed)
     totals = np.empty(paths)
     done = 0
-    n = spec.n
     while done < paths:
         bp = min(block, paths - done)
-        dW = rng.standard_normal((bp, K - 1)) * sq
+        # time-major increments, so each step reads one contiguous row
+        dW = np.ascontiguousarray((rng.standard_normal((bp, K - 1)) * sq).T)
         Y = np.zeros((bp, n))
         acc = np.zeros(bp)
-        X = mean[0] + Y
-        u = np.einsum("mn,pn->pm", cl.gain[0], Y) + eu[0]
-        c_prev = (np.einsum("pi,ij,pj->p", X, ta.Q[0], X)
-                  + 2.0 * np.einsum("pm,mn,pn->p", u, ta.S[0], X)
-                  + np.einsum("pm,mr,pr->p", u, ta.R[0], u))
         for i in range(K - 1):
-            drift = np.einsum("ij,pj->pi", eng.F[i], Y)
-            vol = np.einsum("ij,pj->pi", eng.Gm[i], Y) + g[i]
-            Y = Y + dt[i] * drift + vol * dW[:, i, None]
-            X = mean[i + 1] + Y
-            u = np.einsum("mn,pn->pm", cl.gain[i + 1], Y) + eu[i + 1]
-            c = (np.einsum("pi,ij,pj->p", X, ta.Q[i + 1], X)
-                 + 2.0 * np.einsum("pm,mn,pn->p", u, ta.S[i + 1], X)
-                 + np.einsum("pm,mr,pr->p", u, ta.R[i + 1], u))
-            acc += 0.5 * dt[i] * (c_prev + c)
-            c_prev = c
-        acc += np.einsum("pi,ij,pj->p", X, ta.G, X)
-        totals[done:done + bp] = acc + det_run + det_term
+            Y = Y + dt[i] * (Y @ FT[i]) + (Y @ GT[i] + g[i]) * dW[i, :, None]
+            acc += np.einsum("pi,pi->p", Y @ wW[i + 1] + wlin2[i + 1], Y)
+        # the terminal cost's path-dependent part Y' G Y + 2 mean' G Y
+        acc += np.einsum("pi,pi->p", Y @ ta.G + G_mean, Y)
+        totals[done:done + bp] = acc + fixed
         done += bp
     value = float(np.mean(totals))
     if paths > 1:
@@ -484,11 +494,9 @@ class _DeviationEngine:
     last three batched over bumps.
     """
 
-    def __init__(self, spec: GameSpec, cl: ControlLaw,
-                 arrays: _TimeArrays | None = None):
+    def __init__(self, spec: GameSpec, cl: ControlLaw):
         self.cl = cl
-        self.eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain,
-                                 arrays=arrays)
+        self.eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
         self.ta = self.eng.ta
 
     def _deu(self, idx, base_mean, bumps):
@@ -508,7 +516,7 @@ class _DeviationEngine:
                + np.einsum("im,bm->bi", ta.Bsum[idx], deu))
         dg = (np.einsum("ij,bj->bi", ta.Csum[idx], dmean)
               + np.einsum("im,bm->bi", ta.Dsum[idx], deu))
-        F, Gm = eng.F[idx], eng.Gm[idx]
+        F, Gm = eng.F[0, idx], eng.Gm[0, idx]
         A, C = ta.A[idx], ta.C[idx]
         Bg = ta.B[idx] @ cl.gain[idx]
         Dg = ta.D[idx] @ cl.gain[idx]

@@ -8,9 +8,11 @@ from mflqg.perturbation import (EpsSchedule, build_eps_iterate,
                                 classify_family, control_distance,
                                 write_family_csv)
 from mflqg.riccati import RegularityError, solve_riccati_pair
-from mflqg.synthesis import propagate_moments, verify_saddle
+from mflqg.synthesis import (build_feedback, evaluate_functional,
+                             propagate_moments, verify_saddle)
 
-from conftest import draw_regular, make_example52, make_example61
+from conftest import (draw_regular, make_example52, make_example61,
+                      random_instance)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,46 @@ def test_ladder_rungs_match_one_rung_oracle(make, sched, N):
     pairwise = [control_distance(spec, a, b, [1.0])
                 for a, b in zip(alone[:-1], alone[1:])]
     np.testing.assert_allclose(rep.distances, pairwise, rtol=1e-6)
+
+
+def _noisy_varying_n3(seed):
+    """The first n = 3 random game of a seed with a time-varying drift
+    or control coefficient (every random game is noisy)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        spec = random_instance(rng)
+        co = spec.coefficients
+        if spec.n == 3 and (co.A.kind != "constant"
+                            or co.B1.kind != "constant"):
+            return spec
+
+
+@pytest.mark.parametrize("case", ["ex61", "ex52", "random"])
+def test_batched_ladder_matches_one_rung_realization(case):
+    # the ladder realizes every rung in one batched pass; the oracle is
+    # build_eps_iterate's one-rung realization (build_feedback, then
+    # evaluate_functional, on the shifted game) of the rung's own
+    # Riccati pair, since a solo pair solve refines its own partition
+    if case == "ex61":
+        spec, sched, x = make_example61(), EpsSchedule(), [1.0]
+    elif case == "ex52":
+        spec, sched, x = make_example52(), EpsSchedule(0.1024, 0.5, 11), [1.0]
+    else:
+        spec, sched, x = (_noisy_varying_n3(61), EpsSchedule(0.5, 0.5, 5),
+                          [1.0, -0.5, 0.25])
+    rep = classify_family(spec, sched, x, TimeGrid(1.0, 250), verify=False)
+    for it in rep.iterates:
+        shifted = embed_perturbation(spec, it.eps)
+        law = build_feedback(shifted, it.riccati, it.mean_riccati)
+        cost = evaluate_functional(shifted, law, x)
+        assert it.value == pytest.approx(cost.value, rel=1e-12)
+        assert it.norm_sq == pytest.approx(cost.control_norm_sq, rel=1e-12)
+        assert np.array_equal(it.feedback.times, law.times)
+        assert np.array_equal(it.feedback.node_index, law.node_index)
+        for name in ("gain", "mean_gain", "weight", "mean_weight",
+                     "margin_1", "margin_2"):
+            ours, ref = getattr(it.feedback, name), getattr(law, name)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_ladder_breakdown_names_failing_rung():

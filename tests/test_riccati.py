@@ -1,8 +1,12 @@
 """Backward Riccati flows: analytic solutions, oracles, and guards."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from mflqg._integrate import integrate_backward
 from mflqg.model import GameSpec, TimeGrid, embed_perturbation
 from mflqg.riccati import (GridMismatchError, RegularityError,
                            RiccatiSolution, assemble_dg_weights,
@@ -194,6 +198,23 @@ def test_mean_solver_grid_and_consistency_guards():
     Pi = solve_mean_riccati(spec, P, grid)
     assert np.max(np.abs(Pi.values[:, 0, 0]
                          - _analytic_61(0.5)(grid.nodes))) <= 1e-6
+
+
+def test_integrate_backward_frees_its_rhs_without_the_collector():
+    # the integrator's recursive segment closure must not keep itself,
+    # and with it rhs and the partition, alive in a reference cycle
+    def rhs(t, y):
+        return 30.0 * y
+
+    ref = weakref.ref(rhs)
+    gc.disable()
+    try:
+        out = integrate_backward(rhs, TimeGrid(1.0, 4), np.ones((1, 1)))
+        assert out[0].shape[0] > 2 * 4 + 1         # intervals were split
+        del rhs, out
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- csv
