@@ -1,6 +1,6 @@
 """Internal numerics: classical RK4 on a fixed output grid with
-per-interval step-doubling refinement, stacked coefficient evaluation,
-and Simpson quadrature on refined partitions.
+per-interval step-doubling refinement, and the one coefficient
+sampler every solver shares.
 
 The refinement exists because backward Riccati flows develop terminal
 or initial layers of width comparable to the perturbation parameter;
@@ -14,9 +14,18 @@ alternates segment boundaries (even indices) and midpoints (odd
 indices).  The state's leading axis holds independent rungs (the
 neighbours of an eps-ladder, or a single solve) integrated on one
 shared partition.
+
+Coefficients are sampled by ``_TimeArrays``, one vectorized
+``CoefficientPath.sample`` call per path.  The integrator's rhs reads
+them one time at a time from a ``CoefficientCache`` of row views,
+filled in one batch at ``stage_times(grid)``: keys formed with the
+integrator's own expressions t0 + 0.5*h and t0 + h, not taken from
+``grid.half_times``, whose midpoints can differ in the last ulp.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,6 +36,7 @@ __all__ = [
     "CoefficientCache",
     "integrate_backward",
     "hermite_midpoint",
+    "stage_times",
 ]
 
 # Fast-accept thresholds: an interval is taken in a single RK4 step,
@@ -52,128 +62,6 @@ class IntegrationError(RuntimeError):
         self.rung = rung
 
 
-class _Stacked:
-    """Coefficients of one spec at one time, stacked for the solvers.
-
-    B = [B1 B2], D = [D1 D2], S = [S1; S2], R = [[R11 R12]; [R21 R22]],
-    with *sum* variants holding coefficient + bar.  Symmetric weights
-    are symmetrized here, once, after validation accepted them.
-    """
-
-    __slots__ = ("A", "Abar", "Asum", "B", "Bbar", "Bsum", "C", "Cbar",
-                 "Csum", "D", "Dbar", "Dsum", "S", "Sbar", "Ssum",
-                 "R", "Rbar", "Rsum", "Q", "Qbar", "Qsum")
-
-    def __init__(self, spec: GameSpec, t: float):
-        co, w = spec.coefficients, spec.weights
-        self.A = co.A.eval(t)
-        self.Abar = co.Abar.eval(t)
-        self.Asum = self.A + self.Abar
-        self.B = np.hstack((co.B1.eval(t), co.B2.eval(t)))
-        self.Bbar = np.hstack((co.B1bar.eval(t), co.B2bar.eval(t)))
-        self.Bsum = self.B + self.Bbar
-        self.C = co.C.eval(t)
-        self.Cbar = co.Cbar.eval(t)
-        self.Csum = self.C + self.Cbar
-        self.D = np.hstack((co.D1.eval(t), co.D2.eval(t)))
-        self.Dbar = np.hstack((co.D1bar.eval(t), co.D2bar.eval(t)))
-        self.Dsum = self.D + self.Dbar
-        self.S = np.vstack((w.S1.eval(t), w.S2.eval(t)))
-        self.Sbar = np.vstack((w.S1bar.eval(t), w.S2bar.eval(t)))
-        self.Ssum = self.S + self.Sbar
-
-        def _sym(M):
-            return 0.5 * (M + M.T)
-
-        def _rblock(r11, r12, r22):
-            m1 = r11.shape[0]
-            m = m1 + r22.shape[0]
-            out = np.empty((m, m))
-            out[:m1, :m1] = r11
-            out[:m1, m1:] = r12
-            out[m1:, :m1] = r12.T
-            out[m1:, m1:] = r22
-            return _sym(out)
-
-        self.R = _rblock(w.R11.eval(t), w.R12.eval(t), w.R22.eval(t))
-        self.Rbar = _rblock(w.R11bar.eval(t), w.R12bar.eval(t),
-                            w.R22bar.eval(t))
-        self.Rsum = self.R + self.Rbar
-        self.Q = _sym(w.Q.eval(t))
-        self.Qbar = _sym(w.Qbar.eval(t))
-        self.Qsum = self.Q + self.Qbar
-
-
-class CoefficientCache:
-    """Memoized stacked-coefficient evaluation for one spec."""
-
-    def __init__(self, spec: GameSpec, max_entries: int = 1 << 18):
-        self.spec = spec
-        self._memo: dict[float, _Stacked] = {}
-        self._max = max_entries
-        n = spec.n
-        G = spec.weights.G
-        Gbar = spec.weights.Gbar
-        self.G = 0.5 * (G + G.T)
-        self.Gbar = 0.5 * (Gbar + Gbar.T)
-        self.Gsum = self.G + self.Gbar
-        self.n, self.m1, self.m2, self.m = n, spec.m1, spec.m2, spec.m
-        # time-independent specs need one stacked instance, ever
-        co, w = spec.coefficients, spec.weights
-        paths = (co.A, co.Abar, co.B1, co.B1bar, co.B2, co.B2bar,
-                 co.C, co.Cbar, co.D1, co.D1bar, co.D2, co.D2bar,
-                 w.Q, w.Qbar, w.S1, w.S1bar, w.S2, w.S2bar,
-                 w.R11, w.R11bar, w.R12, w.R12bar, w.R22, w.R22bar)
-        self._frozen = (_Stacked(spec, 0.0)
-                        if all(p.kind == "constant" for p in paths)
-                        else None)
-
-    def at(self, t: float) -> _Stacked:
-        if self._frozen is not None:
-            return self._frozen
-        t = float(t)
-        st = self._memo.get(t)
-        if st is None:
-            if len(self._memo) >= self._max:
-                self._memo.clear()
-            st = _Stacked(self.spec, t)
-            self._memo[t] = st
-        return st
-
-
-class _TimeArrays:
-    """Spec coefficients sampled on a partition, stacked along time."""
-
-    __slots__ = ("times", "A", "B", "C", "D", "Q", "S", "R",
-                 "Asum", "Bsum", "Csum", "Dsum", "Qsum", "Ssum", "Rsum",
-                 "G", "Gsum", "n", "m", "m1")
-
-    def __init__(self, spec: GameSpec, times: np.ndarray,
-                 cache: CoefficientCache | None = None):
-        cache = cache if cache is not None else CoefficientCache(spec)
-        self.times = times
-        K = times.shape[0]
-        n, m = spec.n, spec.m
-        self.n, self.m, self.m1 = n, m, spec.m1
-        names = ("A", "B", "C", "D", "Q", "S", "R",
-                 "Asum", "Bsum", "Csum", "Dsum", "Qsum", "Ssum", "Rsum")
-        shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
-                  "Q": (n, n), "S": (m, n), "R": (m, m)}
-        for nm in names:
-            base = nm[:-3] if nm.endswith("sum") else nm
-            setattr(self, nm, np.empty((K,) + shapes[base]))
-        if cache._frozen is not None:
-            for nm in names:
-                getattr(self, nm)[:] = getattr(cache._frozen, nm)
-        else:
-            for k in range(K):
-                st = cache.at(times[k])
-                for nm in names:
-                    getattr(self, nm)[k] = getattr(st, nm)
-        self.G = cache.G
-        self.Gsum = cache.Gsum
-
-
 def _T(M: np.ndarray) -> np.ndarray:
     """Transpose the trailing matrix axes of a stack."""
     return M.swapaxes(-1, -2)
@@ -182,6 +70,98 @@ def _T(M: np.ndarray) -> np.ndarray:
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products M[...] @ x[...]."""
     return (M @ x[..., None])[..., 0]
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + _T(M))
+
+
+# one time's coefficients: views of one row of a _TimeArrays
+_Row = namedtuple("_Row", ("A", "B", "C", "D", "Q", "S", "R", "Asum", "Bsum",
+                           "Csum", "Dsum", "Qsum", "Ssum", "Rsum"))
+
+
+class _TimeArrays:
+    """Spec coefficients sampled at K times, each field C-contiguous
+    with leading axis K: B = [B1 B2], D = [D1 D2], S = [S1; S2],
+    R = [[R11 R12]; [R12' R22]], *sum* fields coefficient + bar, and
+    the symmetric weights symmetrized once, after validation."""
+
+    __slots__ = _Row._fields + ("times", "G", "Gsum", "n", "m", "m1")
+
+    def __init__(self, spec: GameSpec, times: np.ndarray):
+        self.times = times
+        self.n, self.m, self.m1 = spec.n, spec.m, spec.m1
+        co, w = spec.coefficients, spec.weights
+
+        def side(p1, p2, axis):
+            return np.concatenate((p1.sample(times), p2.sample(times)),
+                                  axis=axis)
+
+        def rblock(r11, r12, r22):
+            r12 = r12.sample(times)
+            return _sym(np.concatenate(
+                (np.concatenate((r11.sample(times), r12), axis=2),
+                 np.concatenate((_T(r12), r22.sample(times)), axis=2)),
+                axis=1))
+
+        self.A = co.A.sample(times)
+        self.Asum = self.A + co.Abar.sample(times)
+        self.B = side(co.B1, co.B2, 2)
+        self.Bsum = self.B + side(co.B1bar, co.B2bar, 2)
+        self.C = co.C.sample(times)
+        self.Csum = self.C + co.Cbar.sample(times)
+        self.D = side(co.D1, co.D2, 2)
+        self.Dsum = self.D + side(co.D1bar, co.D2bar, 2)
+        self.S = side(w.S1, w.S2, 1)
+        self.Ssum = self.S + side(w.S1bar, w.S2bar, 1)
+        self.R = rblock(w.R11, w.R12, w.R22)
+        self.Rsum = self.R + rblock(w.R11bar, w.R12bar, w.R22bar)
+        self.Q = _sym(w.Q.sample(times))
+        self.Qsum = self.Q + _sym(w.Qbar.sample(times))
+        self.G = _sym(w.G)
+        self.Gsum = self.G + _sym(w.Gbar)
+
+
+def _rows(ta: _TimeArrays) -> list:
+    return list(map(_Row._make, zip(*(list(getattr(ta, name))
+                                      for name in _Row._fields))))
+
+
+class CoefficientCache:
+    """Per-time rows of one spec's coefficients, memoized for an rhs.
+
+    The Riccati solvers ``fill`` the memo in one batch at
+    ``stage_times(grid)``, whose keys equal the integrator's times
+    bitwise (``grid.half_times``' midpoints may not).  A time inside a
+    refined interval is sampled alone; a constant spec has one row.
+    """
+
+    def __init__(self, spec: GameSpec, max_entries: int = 1 << 18):
+        self.spec = spec
+        self._memo: dict[float, _Row] = {}
+        self._max = max_entries
+        self.constant = all(
+            getattr(p, "kind", "constant") == "constant" for p in
+            (*vars(spec.coefficients).values(), *vars(spec.weights).values()))
+        self._frozen = (_rows(_TimeArrays(spec, np.zeros(1)))[0]
+                        if self.constant else None)
+
+    def fill(self, arrays: _TimeArrays) -> None:
+        """Memoize every row of one batch sample under its time."""
+        self._memo.update(zip(arrays.times.tolist(), _rows(arrays)))
+
+    def at(self, t: float) -> _Row:
+        if self._frozen is not None:
+            return self._frozen
+        t = float(t)
+        row = self._memo.get(t)
+        if row is None:
+            if len(self._memo) >= self._max:
+                self._memo.clear()
+            row = self._memo[t] = _rows(_TimeArrays(self.spec,
+                                                    np.array([t])))[0]
+        return row
 
 
 def _rung_max(y: np.ndarray) -> np.ndarray:
@@ -212,6 +192,19 @@ def _rk4_step(rhs, t: float, h: float, y: np.ndarray, k1: np.ndarray):
 def hermite_midpoint(y0, y1, f0, f1, h):
     """Fourth-order midpoint value from endpoint values and slopes."""
     return 0.5 * (y0 + y1) + (h / 8.0) * (f0 - f1)
+
+
+def stage_times(grid: TimeGrid) -> np.ndarray:
+    """Every time, ascending, at which integrate_backward calls rhs on
+    the intervals it fast-accepts: with t0 = nodes[k], t1 = nodes[k-1]
+    and h = t1 - t0, the stages t0 + 0.5*h and t0 + h and the node t1.
+    These are the integrator's own expressions, so the times match its
+    bitwise; ``grid.half_times`` differs in the last ulp at 20 of the
+    500 midpoints of T = 1, N = 500 and would miss a memo."""
+    nodes = grid.nodes
+    t0 = nodes[1:]
+    h = nodes[:-1] - t0
+    return np.unique(np.concatenate((nodes, t0 + 0.5 * h, t0 + h)))
 
 
 def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,

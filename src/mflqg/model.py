@@ -18,6 +18,9 @@ Coefficient paths come in three kinds:
                   (breakpoint, matrix) pairs, first breakpoint 0
 * ``polynomial``  sum_k  C_k t**k  with matrix coefficients
 
+A path is evaluated at one time by ``CoefficientPath.eval``, and on
+an array of times, bitwise equal to eval, by ``CoefficientPath.sample``.
+
 All containers are immutable after construction; their arrays are
 stored read-only.
 """
@@ -139,6 +142,23 @@ class CoefficientPath:
         coeffs = self.payload[0]
         out = np.zeros((self.rows, self.cols))
         for c in coeffs[::-1]:
+            out *= t
+            out += c
+        return out
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """Values at ``times`` stacked C-contiguously, (K, rows, cols);
+        row k is eval(times[k]) bitwise, by eval's arithmetic."""
+        times = np.asarray(times, dtype=float)
+        if self.kind == "constant":
+            return self.payload[0][None].repeat(times.shape[0], axis=0)
+        if self.kind == "piecewise":
+            breaks, mats = self.payload
+            return mats[np.maximum(
+                np.searchsorted(breaks, times, side="right") - 1, 0)]
+        out = np.zeros((times.shape[0], self.rows, self.cols))
+        t = times[:, None, None]
+        for c in self.payload[0][::-1]:
             out *= t
             out += c
         return out

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import (CoefficientCache, IntegrationError, _rung_max, _T,
-                         _TimeArrays, integrate_backward)
+from ._integrate import (CoefficientCache, IntegrationError, _rung_max, _sym,
+                         _T, _TimeArrays, integrate_backward, stage_times)
 from .model import CONDITION_LIMIT, DEFAULT_DELTA, GameSpec, TimeGrid
 
 __all__ = [
@@ -61,10 +61,6 @@ class RegularityError(RuntimeError):
 
 class GridMismatchError(ValueError):
     """Two grid-indexed objects do not share node times."""
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + _T(M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,13 +204,6 @@ def _mean_slope(st, Rsum, P, Pi):
     return _flow(st.Asum, st.Csum, st.Qsum, Pi, P, Lb, X)
 
 
-def _game_rhs(cache: CoefficientCache):
-    def rhs(t, P):
-        st = cache.at(t)
-        return _game_slope(st, st.R, P)
-    return rhs
-
-
 def _columns(spec, player: int) -> slice:
     """The control columns of one player in the stacked coefficients."""
     return slice(0, spec.m1) if player == 1 else slice(spec.m1, spec.m)
@@ -227,12 +216,6 @@ def _control_slope(st, cols: slice, P):
     L = _T(st.B[..., cols]) @ P + DtP @ st.C + st.S[..., cols, :]
     X = np.linalg.solve(st.R[..., cols, cols] + DtP @ Di, L)
     return _flow(st.A, st.C, st.Q, P, P, L, X)
-
-
-def _control_rhs(cache: CoefficientCache, cols: slice):
-    def rhs(t, P):
-        return _control_slope(cache.at(t), cols, P)
-    return rhs
 
 
 def _pair_rhs(cache: CoefficientCache, shift: np.ndarray):
@@ -248,6 +231,14 @@ def _pair_rhs(cache: CoefficientCache, shift: np.ndarray):
                          _mean_slope(st, st.Rsum + shift, P, Y[:, 1])),
                         axis=1)
     return rhs
+
+
+def _coefficient_cache(spec: GameSpec, grid: TimeGrid) -> CoefficientCache:
+    """The integrator's memo, filled where fast-accepted steps call rhs."""
+    cache = CoefficientCache(spec)
+    if not cache.constant:
+        cache.fill(_TimeArrays(spec, stage_times(grid)))
+    return cache
 
 
 def _eps_shift(spec: GameSpec, eps) -> np.ndarray:
@@ -357,13 +348,18 @@ def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
         If a weight block becomes numerically singular on the horizon
         or the flow blows up before t = 0.
     """
-    cache = CoefficientCache(spec)
+    ta_n = _TimeArrays(spec, grid.nodes)
+    cache = _coefficient_cache(spec, grid)
+
+    def rhs(t, P):
+        st = cache.at(t)
+        return _game_slope(st, st.R, P)
+
     times, values, node_index, asym = _integrate_rungs(
-        _game_rhs(cache), grid, cache.G[None], rtol)
+        rhs, grid, ta_n.G[None], rtol)
     fine = values[:, 0]
     mids = _midpoint_index(times, node_index)
-    ta_n = _TimeArrays(spec, grid.nodes, cache)
-    ta_m = _TimeArrays(spec, times[mids], cache)
+    ta_m = _TimeArrays(spec, times[mids])
     P_n = fine[node_index]
     Sig = ta_n.R + _T(ta_n.D) @ P_n @ ta_n.D
     _cond_violations(Sig, grid.nodes, "the stacked control weight")
@@ -385,15 +381,16 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    cache = CoefficientCache(spec)
     cols = _columns(spec, player)
+    ta_n = _TimeArrays(spec, grid.nodes)
+    cache = _coefficient_cache(spec, grid)
     times, values, node_index, asym = _integrate_rungs(
-        _control_rhs(cache, cols), grid, cache.G[None], rtol)
+        lambda t, P: _control_slope(cache.at(t), cols, P), grid,
+        ta_n.G[None], rtol)
     values = values[:, 0]
     node_vals = values[node_index]
     mids = _midpoint_index(times, node_index)
-    ta_n = _TimeArrays(spec, grid.nodes, cache)
-    ta_m = _TimeArrays(spec, times[mids], cache)
+    ta_m = _TimeArrays(spec, times[mids])
     Di, Dib = ta_n.D[..., cols], ta_n.Dsum[..., cols]
     Sig = ta_n.R[:, cols, cols] + _T(Di) @ node_vals @ Di
     Sigb = ta_n.Rsum[:, cols, cols] + _T(Dib) @ node_vals @ Dib
@@ -435,7 +432,6 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
     one (P, Pi) per rung.  A breakdown raises RegularityError naming
     the first failing rung's eps and the time where it failed.
     """
-    cache = CoefficientCache(spec)
     if eps is None:
         shift = np.zeros((1, spec.m, spec.m))
         names = [""]
@@ -443,14 +439,15 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
         shift = _eps_shift(spec, eps)
         names = [f"eps = {e:.6g}: " for e in eps]
     E = shift.shape[0]
-    terminal = np.repeat(np.stack((cache.G, cache.Gsum))[None], E, axis=0)
+    ta_n = _TimeArrays(spec, grid.nodes)
+    terminal = np.repeat(np.stack((ta_n.G, ta_n.Gsum))[None], E, axis=0)
     times, values, node_index, asym = _integrate_rungs(
-        _pair_rhs(cache, shift), grid, terminal, rtol, names)
+        _pair_rhs(_coefficient_cache(spec, grid), shift), grid, terminal,
+        rtol, names)
 
     # margins at the nodes and midpoint defects, all rungs at once
     mids = _midpoint_index(times, node_index)
-    ta_n = _TimeArrays(spec, grid.nodes, cache)
-    ta_m = _TimeArrays(spec, times[mids], cache)
+    ta_m = _TimeArrays(spec, times[mids])
     Y_n = np.moveaxis(values[node_index], 1, 0)
     Y_m = np.moveaxis(values[mids], 1, 0)
     P_n, P_m = Y_n[:, :, 0], Y_m[:, :, 0]
@@ -570,33 +567,21 @@ def riccati_residual(P: RiccatiSolution, spec: GameSpec, which: str) -> float:
     The time derivative is approximated by central differences at
     interior nodes.
     """
-    cache = CoefficientCache(spec)
+    vals, ta = P.values, _TimeArrays(spec, P.grid.nodes[1:-1])
+    inner = vals[1:-1]
     if which == "Ric1":
-        rhs = _game_rhs(cache)
-    elif which == "Ric-1":
-        rhs = _control_rhs(cache, _columns(spec, 1))
-    elif which == "Ric-2":
-        rhs = _control_rhs(cache, _columns(spec, 2))
+        slope = _game_slope(ta, ta.R, inner)
+    elif which in ("Ric-1", "Ric-2"):
+        slope = _control_slope(ta, _columns(spec, int(which[-1])), inner)
     elif which == "Ric2":
         comp = P.companion_values
         if comp is None:
             raise ValueError("Ric2 residual needs the companion game path")
-        def rhs(t, Pi, _comp=comp):
-            k = int(round(t / P.grid.h))
-            st = cache.at(t)
-            return _mean_slope(st, st.Rsum, _comp[k], Pi)
+        slope = _mean_slope(ta, ta.Rsum, comp[1:-1], inner)
     else:
         raise ValueError(f"unknown equation tag {which!r}")
-
-    nodes = P.grid.nodes
-    vals = P.values
-    h = P.grid.h
-    worst = 0.0
-    for k in range(1, len(nodes) - 1):
-        Pdot = (vals[k + 1] - vals[k - 1]) / (2.0 * h)
-        defect = Pdot - rhs(nodes[k], vals[k])
-        worst = max(worst, float(np.linalg.norm(defect)))
-    return worst
+    defect = (vals[2:] - vals[:-2]) / (2.0 * P.grid.h) - slope
+    return float(np.max(np.linalg.norm(defect, axis=(1, 2)), initial=0.0))
 
 
 def write_riccati_csv(sol: RiccatiSolution, path) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import _mv, _T, _TimeArrays, hermite_midpoint
+from ._integrate import _mv, _sym, _T, _TimeArrays, hermite_midpoint
 from .model import ControlLaw, GameSpec, TimeGrid
 from .riccati import GridMismatchError, RiccatiSolution
 
@@ -47,10 +47,6 @@ __all__ = [
     "write_moments_csv",
     "write_feedback_csv",
 ]
-
-
-def _sym(M):
-    return 0.5 * (M + _T(M))
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,6 +51,34 @@ def test_polynomial_path_matches_horner():
                                    atol=1e-15)
 
 
+def _sample_paths():
+    rng = np.random.default_rng(5)
+    M = [rng.standard_normal((2, 3)) for _ in range(4)]
+    polys = [CoefficientPath.polynomial(M[:d + 1], 1.0) for d in range(4)]
+    return polys + [
+        CoefficientPath.constant(M[0], 1.0),
+        # 0.45 is grid node 225 at N = 500; the last piece starts at T
+        CoefficientPath.piecewise(
+            [(0.0, M[0]), (0.45, M[1]), (1.0, M[2])], 1.0),
+        CoefficientPath.piecewise([(0.0, M[0]), (0.3, M[3])], 1.0),
+    ]
+
+
+@pytest.mark.parametrize("path", _sample_paths(),
+                         ids=lambda p: f"{p.kind}{len(p.stored_matrices())}")
+def test_sample_equals_eval_bitwise(path):
+    grid = TimeGrid(1.0, 500)
+    assert grid.nodes[225] == 0.45
+    t0 = grid.nodes[1:]
+    times = np.concatenate((grid.half_times, t0 + 0.5 * (grid.nodes[:-1] - t0),
+                            [0.0, 0.45, 0.3, 1.0, np.nextafter(0.45, 0.0)]))
+    out = path.sample(times)
+    assert out.shape == (times.shape[0], path.rows, path.cols)
+    assert out.flags.c_contiguous
+    for t, row in zip(times, out):
+        assert row.tobytes() == path.eval(float(t)).tobytes(), t
+
+
 def test_eval_coefficient_enforces_range():
     p = CoefficientPath.constant([[1.0]], 1.0)
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from mflqg._integrate import integrate_backward
+import mflqg._integrate
+from mflqg._integrate import _TimeArrays, integrate_backward, stage_times
 from mflqg.model import GameSpec, TimeGrid, embed_perturbation
 from mflqg.riccati import (GridMismatchError, RegularityError,
                            RiccatiSolution, assemble_dg_weights,
@@ -215,6 +216,84 @@ def test_integrate_backward_frees_its_rhs_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------- coefficient sampler
+
+def _stacked_oracle(spec, t):
+    """Every _TimeArrays field at one time, by per-time eval."""
+    co, w = spec.coefficients, spec.weights
+
+    def sym(M):
+        return 0.5 * (M + M.T)
+
+    def rblock(r11, r12, r22):
+        m1 = r11.shape[0]
+        out = np.empty((m1 + r22.shape[0],) * 2)
+        out[:m1, :m1] = r11
+        out[:m1, m1:] = r12
+        out[m1:, :m1] = r12.T
+        out[m1:, m1:] = r22
+        return sym(out)
+
+    A = co.A.eval(t)
+    B = np.hstack((co.B1.eval(t), co.B2.eval(t)))
+    C = co.C.eval(t)
+    D = np.hstack((co.D1.eval(t), co.D2.eval(t)))
+    S = np.vstack((w.S1.eval(t), w.S2.eval(t)))
+    R = rblock(w.R11.eval(t), w.R12.eval(t), w.R22.eval(t))
+    Q = sym(w.Q.eval(t))
+    return dict(
+        A=A, B=B, C=C, D=D, S=S, R=R, Q=Q,
+        Asum=A + co.Abar.eval(t),
+        Bsum=B + np.hstack((co.B1bar.eval(t), co.B2bar.eval(t))),
+        Csum=C + co.Cbar.eval(t),
+        Dsum=D + np.hstack((co.D1bar.eval(t), co.D2bar.eval(t))),
+        Ssum=S + np.vstack((w.S1bar.eval(t), w.S2bar.eval(t))),
+        Rsum=R + rblock(w.R11bar.eval(t), w.R12bar.eval(t),
+                        w.R22bar.eval(t)),
+        Qsum=Q + sym(w.Qbar.eval(t)))
+
+
+def _half_grid_game():
+    """A game whose A is a polynomial and whose B1 steps at 0.45, a node
+    at N = 500, and whose solves at N = 500 refine no interval."""
+    spec = embed_perturbation(random_instance(np.random.default_rng(6)), 0.5)
+    co = spec.coefficients
+    assert (co.A.kind, co.B1.kind) == ("polynomial", "piecewise")
+    return spec
+
+
+def test_time_arrays_match_per_time_oracle():
+    grid = TimeGrid(1.0, 500)
+    times = np.concatenate((grid.half_times, stage_times(grid),
+                            [0.45, 1.0, 0.3]))
+    for spec in (_half_grid_game(), make_example52(), make_example61()):
+        ta = _TimeArrays(spec, times)
+        for k, t in enumerate(times):
+            for name, want in _stacked_oracle(spec, float(t)).items():
+                got = getattr(ta, name)
+                assert got.flags.c_contiguous, name
+                assert got[k].tobytes() == want.tobytes(), (name, t)
+
+
+def test_half_grid_solve_makes_no_single_time_sample(monkeypatch):
+    # every rhs time of a fast-accepted interval is filled in one batch;
+    # a single-time sample goes through _integrate's own name
+    samples = []
+
+    def counted(spec, times):
+        samples.append(len(times))
+        return _TimeArrays(spec, times)
+
+    monkeypatch.setattr(mflqg._integrate, "_TimeArrays", counted)
+    spec, grid = _half_grid_game(), TimeGrid(1.0, 500)
+    for sol in (solve_riccati_pair(spec, grid)[0],
+                solve_game_riccati(spec, grid),
+                solve_control_riccati(spec, grid, 1),
+                solve_control_riccati(spec, grid, 2)):
+        assert sol.times.shape[0] == 2 * grid.N + 1
+    assert samples == []
 
 
 # ---------------------------------------------------------------- csv
