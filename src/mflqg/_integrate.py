@@ -17,15 +17,14 @@ shared partition.
 
 Coefficients are sampled by ``_TimeArrays``, one vectorized
 ``CoefficientPath.sample`` call per path.  The integrator's rhs reads
-them one time at a time from a ``CoefficientCache`` of row views,
-filled in one batch at ``stage_times(grid)``: keys formed with the
-integrator's own expressions t0 + 0.5*h and t0 + h, not taken from
-``grid.half_times``, whose midpoints can differ in the last ulp.
+them one time at a time from a ``CoefficientCache`` of rows in the
+solver's own view, filled in one batch at ``stage_times(grid)``: keys
+formed with the integrator's own expressions t0 + 0.5*h and t0 + h,
+not taken from ``grid.half_times``, whose midpoints can differ in the
+last ulp.  A state has at least two axes: rungs, then matrices.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 import numpy as np
 
@@ -76,18 +75,19 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _T(M))
 
 
-# one time's coefficients: views of one row of a _TimeArrays
-_Row = namedtuple("_Row", ("A", "B", "C", "D", "Q", "S", "R", "Asum", "Bsum",
-                           "Csum", "Dsum", "Qsum", "Ssum", "Rsum"))
+_FIELDS = ("A", "B", "C", "D", "S", "Q", "R")
 
 
 class _TimeArrays:
     """Spec coefficients sampled at K times, each field C-contiguous
     with leading axis K: B = [B1 B2], D = [D1 D2], S = [S1; S2],
     R = [[R11 R12]; [R12' R22]], *sum* fields coefficient + bar, and
-    the symmetric weights symmetrized once, after validation."""
+    the symmetric weights symmetrized once, after validation.  Each
+    field and its sum are the halves of one (2, K, ...) array of
+    ``pairs`` (order ``_FIELDS``): the stacks the pair slope reads."""
 
-    __slots__ = _Row._fields + ("times", "G", "Gsum", "n", "m", "m1")
+    __slots__ = (_FIELDS + tuple(f + "sum" for f in _FIELDS)
+                 + ("pairs", "times", "G", "Gsum", "n", "m", "m1"))
 
     def __init__(self, spec: GameSpec, times: np.ndarray):
         self.times = times
@@ -98,60 +98,76 @@ class _TimeArrays:
             return np.concatenate((p1.sample(times), p2.sample(times)),
                                   axis=axis)
 
-        def rblock(r11, r12, r22):
-            r12 = r12.sample(times)
-            return _sym(np.concatenate(
-                (np.concatenate((r11.sample(times), r12), axis=2),
-                 np.concatenate((_T(r12), r22.sample(times)), axis=2)),
-                axis=1))
+        def pair(plain, bar):
+            out = np.empty((2,) + plain.shape)
+            out[0] = plain
+            np.add(plain, bar, out=out[1])
+            return out
 
-        self.A = co.A.sample(times)
-        self.Asum = self.A + co.Abar.sample(times)
-        self.B = side(co.B1, co.B2, 2)
-        self.Bsum = self.B + side(co.B1bar, co.B2bar, 2)
-        self.C = co.C.sample(times)
-        self.Csum = self.C + co.Cbar.sample(times)
-        self.D = side(co.D1, co.D2, 2)
-        self.Dsum = self.D + side(co.D1bar, co.D2bar, 2)
-        self.S = side(w.S1, w.S2, 1)
-        self.Ssum = self.S + side(w.S1bar, w.S2bar, 1)
-        self.R = rblock(w.R11, w.R12, w.R22)
-        self.Rsum = self.R + rblock(w.R11bar, w.R12bar, w.R22bar)
-        self.Q = _sym(w.Q.sample(times))
-        self.Qsum = self.Q + _sym(w.Qbar.sample(times))
+        def rpair():
+            # both halves' blocks, symmetrized at once; then R + Rbar
+            # as Rbar + R, which IEEE addition makes the same bits
+            m1 = self.m1
+            out = np.empty((2, len(times), self.m, self.m))
+            for half, (r11, r12, r22) in zip(out, (
+                    (w.R11, w.R12, w.R22), (w.R11bar, w.R12bar, w.R22bar))):
+                r12 = r12.sample(times)
+                half[:, :m1, :m1] = r11.sample(times)
+                half[:, :m1, m1:] = r12
+                half[:, m1:, :m1] = _T(r12)
+                half[:, m1:, m1:] = r22.sample(times)
+            out = _sym(out)
+            out[1] += out[0]
+            return out
+
+        self.pairs = (
+            pair(co.A.sample(times), co.Abar.sample(times)),
+            pair(side(co.B1, co.B2, 2), side(co.B1bar, co.B2bar, 2)),
+            pair(co.C.sample(times), co.Cbar.sample(times)),
+            pair(side(co.D1, co.D2, 2), side(co.D1bar, co.D2bar, 2)),
+            pair(side(w.S1, w.S2, 1), side(w.S1bar, w.S2bar, 1)),
+            pair(_sym(w.Q.sample(times)), _sym(w.Qbar.sample(times))),
+            rpair())
+        # indexing, not unpacking: this runs once per memo miss
+        self.A, self.B, self.C, self.D, self.S, self.Q, self.R = [
+            p[0] for p in self.pairs]
+        (self.Asum, self.Bsum, self.Csum, self.Dsum, self.Ssum, self.Qsum,
+         self.Rsum) = [p[1] for p in self.pairs]
         self.G = _sym(w.G)
         self.Gsum = self.G + _sym(w.Gbar)
-
-
-def _rows(ta: _TimeArrays) -> list:
-    return list(map(_Row._make, zip(*(list(getattr(ta, name))
-                                      for name in _Row._fields))))
 
 
 class CoefficientCache:
     """Per-time rows of one spec's coefficients, memoized for an rhs.
 
-    The Riccati solvers ``fill`` the memo in one batch at
-    ``stage_times(grid)``, whose keys equal the integrator's times
-    bitwise (``grid.half_times``' midpoints may not).  A time inside a
-    refined interval is sampled alone; a constant spec has one row.
+    A row is one time of ``view``, which maps a ``_TimeArrays`` to the
+    solver's slope arguments with leading axis time, so an rhs does no
+    slicing, stacking or shifting of its own.  The Riccati solvers
+    ``fill`` the memo in one batch at ``stage_times(grid)``, whose keys
+    equal the integrator's times bitwise (``grid.half_times``'
+    midpoints may not).  A time inside a refined interval is sampled
+    alone; a constant spec has one row.
     """
 
-    def __init__(self, spec: GameSpec, max_entries: int = 1 << 18):
+    def __init__(self, spec: GameSpec, view, max_entries: int = 1 << 18):
         self.spec = spec
-        self._memo: dict[float, _Row] = {}
+        self.view = view
+        self._memo: dict[float, tuple] = {}
         self._max = max_entries
         self.constant = all(
             getattr(p, "kind", "constant") == "constant" for p in
             (*vars(spec.coefficients).values(), *vars(spec.weights).values()))
-        self._frozen = (_rows(_TimeArrays(spec, np.zeros(1)))[0]
-                        if self.constant else None)
+        self._frozen = self._row(np.zeros(1)) if self.constant else None
+
+    def _row(self, times: np.ndarray) -> tuple:
+        return next(zip(*self.view(_TimeArrays(self.spec, times))))
 
     def fill(self, arrays: _TimeArrays) -> None:
         """Memoize every row of one batch sample under its time."""
-        self._memo.update(zip(arrays.times.tolist(), _rows(arrays)))
+        self._memo.update(zip(arrays.times.tolist(),
+                              zip(*self.view(arrays))))
 
-    def at(self, t: float) -> _Row:
+    def at(self, t: float) -> tuple:
         if self._frozen is not None:
             return self._frozen
         t = float(t)
@@ -159,18 +175,17 @@ class CoefficientCache:
         if row is None:
             if len(self._memo) >= self._max:
                 self._memo.clear()
-            row = self._memo[t] = _rows(_TimeArrays(self.spec,
-                                                    np.array([t])))[0]
+            row = self._memo[t] = self._row(np.array([t]))
         return row
 
 
 def _rung_max(y: np.ndarray) -> np.ndarray:
     """Infinity norm of each rung (slice along the leading axis) of y."""
-    return np.max(np.abs(y).reshape(y.shape[0], -1), axis=1, initial=0.0)
+    return abs(y).reshape(len(y), -1).max(axis=1, initial=0.0)
 
 
 def _rung_finite(y: np.ndarray) -> np.ndarray:
-    return np.all(np.isfinite(y).reshape(y.shape[0], -1), axis=1)
+    return np.isfinite(y).reshape(len(y), -1).all(axis=1)
 
 
 def _rk4_step(rhs, t: float, h: float, y: np.ndarray, k1: np.ndarray):
@@ -184,9 +199,10 @@ def _rk4_step(rhs, t: float, h: float, y: np.ndarray, k1: np.ndarray):
     k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = rhs(t + h, y + h * k3)
     y_next = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    slope = _rung_max(np.stack((k1, k2, k3, k4), axis=1))
-    spread = _rung_max(np.stack((k4 - k1, k2 - k3), axis=1))
-    return y_next, slope, spread
+    stages = abs(np.concatenate((k1, k2, k3, k4, k4 - k1, k2 - k3), axis=1))
+    stages = stages.reshape(len(y), 6, -1)
+    return (y_next, stages[:, :4].max(axis=(1, 2)),
+            stages[:, 4:].max(axis=(1, 2)))
 
 
 def hermite_midpoint(y0, y1, f0, f1, h):

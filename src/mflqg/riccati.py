@@ -11,6 +11,12 @@ Three differential Riccati equations drive the synthesis:
   mean-field) data and the already-solved P, with weights
   Sigma_bar = R + Rbar + (D+Dbar)' P (D+Dbar).
 
+All three are one Riccati map ``_slope`` of a state Y along P: Y = P
+on the plain coefficients (or one player's columns of them), Y = Pi on
+the sums A + Abar, ..., R + Rbar.  The pair (P, Pi) is that map once,
+on length-2 stacks (A, A + Abar), ..., (R, R + Rbar): one linear solve
+per evaluation for both equations and every rung.
+
 All solvers integrate backward from the terminal weight with classical
 RK4 on the output grid, refining intervals by step doubling where the
 flow is fast (terminal layers at small convexification parameters).
@@ -23,6 +29,7 @@ aborts when a weight block's condition number passes 1e12.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -176,66 +183,56 @@ class ComparisonReport:
 
 
 # ----------------------------------------------------------------------
-# right-hand sides (as dP/dt, so the quadratic term enters with +)
+# the slope (as dP/dt, so the quadratic term enters with +)
 #
-# Every slope broadcasts over leading axes: coefficients may be stacked
-# along time and states along rungs and time.
+# Every equation is one Riccati map of a state Y along a game solution
+# P.  A view turns a _TimeArrays into the map's coefficient arguments,
+# each with leading axis time: a CoefficientCache row is one time of a
+# view, and the solver tails take whole views.  The pair view stacks
+# the game and mean coefficients on an equation axis of length 2, just
+# before the matrix axes, so a pair state has axes (rung, equation,
+# n, n) in the rhs and (node, rung, equation, n, n) in the tails.  Its
+# "P" slot is the game entry, kept as a length-1 equation axis
+# (Y[:, :1] in the rhs) so that it broadcasts over both equations.
 # ----------------------------------------------------------------------
 
-def _flow(A, C, Q, Y, P, L, X):
-    """-(Y A + A' Y + C' P C + Q - L' X), the shared Riccati slope."""
+def _slope(A, Bt, C, Dt, D, S, Q, R, Y, P):
+    """-(Y A + A' Y + C' P C + Q - L' X), L = B' Y + D' P C + S and
+    X = (R + D' P D)^-1 L."""
+    DtP = Dt @ P
+    L = Bt @ Y + DtP @ C + S
+    X = np.linalg.solve(R + DtP @ D, L)
     YA = Y @ A
     return -(YA + _T(YA) + _T(C) @ (P @ C) + Q - _T(L) @ X)
 
 
-def _game_slope(st, R, P):
-    """Game equation slope; R is the stacked control weight."""
-    DtP = _T(st.D) @ P
-    L = _T(st.B) @ P + DtP @ st.C + st.S
-    X = np.linalg.solve(R + DtP @ st.D, L)
-    return _flow(st.A, st.C, st.Q, P, P, L, X)
+def _half_view(ta: _TimeArrays, half: int = 0) -> tuple:
+    """The game equation's arguments (half 0) or the mean equation's,
+    from the summed coefficients (half 1)."""
+    A, B, C, D, S, Q, R = [p[half] for p in ta.pairs]
+    return A, _T(B), C, _T(D), D, S, Q, R
 
 
-def _mean_slope(st, Rsum, P, Pi):
-    """Mean equation slope for Pi along the game solution P."""
-    DtP = _T(st.Dsum) @ P
-    Lb = _T(st.Bsum) @ Pi + DtP @ st.Csum + st.Ssum
-    X = np.linalg.solve(Rsum + DtP @ st.Dsum, Lb)
-    return _flow(st.Asum, st.Csum, st.Qsum, Pi, P, Lb, X)
+def _control_view(ta: _TimeArrays, player: int, half: int = 0) -> tuple:
+    """One player's single-channel arguments: ``_half_view`` restricted
+    to the player's control columns."""
+    c = slice(0, ta.m1) if player == 1 else slice(ta.m1, ta.m)
+    A, Bt, C, Dt, D, S, Q, R = _half_view(ta, half)
+    return (A, Bt[..., c, :], C, Dt[..., c, :], D[..., c], S[..., c, :], Q,
+            R[..., c, c])
 
 
-def _columns(spec, player: int) -> slice:
-    """The control columns of one player in the stacked coefficients."""
-    return slice(0, spec.m1) if player == 1 else slice(spec.m1, spec.m)
+def _pair_view(ta: _TimeArrays, shift: np.ndarray) -> tuple:
+    """Both equations' arguments as (K, 1, 2, ...) stacks; R + Rbar and R
+    carry rung e's weight shift[e], giving R shape (K, E, 2, m, m)."""
+    A, B, C, D, S, Q, R = [p.swapaxes(0, 1)[:, None] for p in ta.pairs]
+    return A, _T(B), C, _T(D), D, S, Q, R + shift[:, None]
 
 
-def _control_slope(st, cols: slice, P):
-    """Single-channel slope of the player owning control columns cols."""
-    Di = st.D[..., cols]
-    DtP = _T(Di) @ P
-    L = _T(st.B[..., cols]) @ P + DtP @ st.C + st.S[..., cols, :]
-    X = np.linalg.solve(st.R[..., cols, cols] + DtP @ Di, L)
-    return _flow(st.A, st.C, st.Q, P, P, L, X)
-
-
-def _pair_rhs(cache: CoefficientCache, shift: np.ndarray):
-    """Slopes of (P, Pi) for a rung stack Y of shape (E, 2, n, n).
-
-    ``shift[e]`` is added to R and R + Rbar for rung e, so the shared
-    coefficients are evaluated once per stage for every rung.
-    """
-    def rhs(t, Y):
-        st = cache.at(t)
-        P = Y[:, 0]
-        return np.stack((_game_slope(st, st.R + shift, P),
-                         _mean_slope(st, st.Rsum + shift, P, Y[:, 1])),
-                        axis=1)
-    return rhs
-
-
-def _coefficient_cache(spec: GameSpec, grid: TimeGrid) -> CoefficientCache:
+def _coefficient_cache(spec: GameSpec, grid: TimeGrid,
+                       view) -> CoefficientCache:
     """The integrator's memo, filled where fast-accepted steps call rhs."""
-    cache = CoefficientCache(spec)
+    cache = CoefficientCache(spec, view)
     if not cache.constant:
         cache.fill(_TimeArrays(spec, stage_times(grid)))
     return cache
@@ -251,16 +248,19 @@ def _eps_shift(spec: GameSpec, eps) -> np.ndarray:
 # margins and conditioning
 # ----------------------------------------------------------------------
 
-def _cond_violations(Sig_stack: np.ndarray, nodes: np.ndarray, label: str):
-    """Abort on the first node whose weight block is nearly singular."""
-    eig = np.linalg.eigvalsh(Sig_stack)
-    small = np.min(np.abs(eig), axis=-1)
-    big = np.max(np.abs(eig), axis=-1)
-    bad = (small == 0.0) | (big > CONDITION_LIMIT * small)
-    if np.any(bad):
-        t = float(nodes[int(np.argmax(bad))])
+def _cond_violations(Sig: np.ndarray, nodes: np.ndarray, labels) -> None:
+    """Abort on the first nearly singular block of Sig (node, *batch,
+    m, m): the first failing batch entry, named by ``labels`` in
+    row-major order, at its first failing node."""
+    eig = abs(np.linalg.eigvalsh(Sig))
+    small = eig.min(axis=-1)
+    bad = (small == 0.0) | (eig.max(axis=-1) > CONDITION_LIMIT * small)
+    bad = bad.reshape(len(nodes), -1)
+    if bad.any():
+        first = int(bad.any(axis=0).argmax())
+        t = float(nodes[int(bad[:, first].argmax())])
         raise RegularityError(
-            f"{label} is numerically singular at t = {t:.6g} "
+            f"{labels[first]} is numerically singular at t = {t:.6g} "
             f"(condition estimate above {CONDITION_LIMIT:.0e})", t)
 
 
@@ -296,20 +296,19 @@ def _midpoint_index(times, node_index):
 
 
 def _sup_defect(node_vals, h, slope_mid):
-    """Per-rung sup Frobenius defect of node differences at midpoints."""
-    defect = (node_vals[:, 1:] - node_vals[:, :-1]) / h - slope_mid
-    return [max([0.0] + [float(np.linalg.norm(d)) for d in rung])
-            for rung in defect]
+    """Sup over nodes (leading axis) of the Frobenius defect of node
+    differences against the midpoint slopes, per trailing stack entry."""
+    defect = (node_vals[1:] - node_vals[:-1]) / h - slope_mid
+    return np.linalg.norm(defect, axis=(-2, -1)).max(axis=0, initial=0.0)
 
 
-def _solution(grid, delta, kind, times, fine, node_index, Sig, m1,
+def _solution(grid, delta, kind, times, fine, node_index, mu1, mu2,
               residual, asym, companion=None) -> "RiccatiSolution":
-    mu1, mu2 = _signed_block_margins(Sig, m1)
     regular = bool(np.min(mu1) >= delta and np.min(mu2) >= delta)
     return RiccatiSolution(
         grid=grid, kind=kind, times=times, values_fine=fine,
         node_index=node_index, regularity_margin_1=mu1,
-        regularity_margin_2=mu2, residual_norm=residual,
+        regularity_margin_2=mu2, residual_norm=float(residual),
         strongly_regular=regular, delta=delta, asymmetry_sup=asym,
         companion_fine=companion)
 
@@ -348,25 +347,10 @@ def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
         If a weight block becomes numerically singular on the horizon
         or the flow blows up before t = 0.
     """
-    ta_n = _TimeArrays(spec, grid.nodes)
-    cache = _coefficient_cache(spec, grid)
-
-    def rhs(t, P):
-        st = cache.at(t)
-        return _game_slope(st, st.R, P)
-
-    times, values, node_index, asym = _integrate_rungs(
-        rhs, grid, ta_n.G[None], rtol)
-    fine = values[:, 0]
-    mids = _midpoint_index(times, node_index)
-    ta_m = _TimeArrays(spec, times[mids])
-    P_n = fine[node_index]
-    Sig = ta_n.R + _T(ta_n.D) @ P_n @ ta_n.D
-    _cond_violations(Sig, grid.nodes, "the stacked control weight")
-    residual = _sup_defect(P_n[None], grid.h,
-                           _game_slope(ta_m, ta_m.R, fine[mids])[None])[0]
-    return _solution(grid, delta, "game", times, fine, node_index, Sig,
-                     spec.m1, residual, asym[0])
+    _, times, fine, node_index, Sig, residual, asym = _solve_single(
+        spec, grid, _half_view, "the stacked control weight", rtol)
+    return _solution(grid, delta, "game", times, fine, node_index,
+                     *_signed_block_margins(Sig, spec.m1), residual, asym)
 
 
 def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
@@ -381,32 +365,35 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    cols = _columns(spec, player)
+    ta_n, times, values, node_index, Sig, residual, asym = _solve_single(
+        spec, grid, partial(_control_view, player=player),
+        f"player {player} control weight", rtol)
+    _, _, _, Dt, D, _, _, R = _control_view(ta_n, player, 1)
+    Sigb = R + Dt @ values[node_index] @ D
+    sign = 1.0 if player == 1 else -1.0
+    mu, mub = np.linalg.eigvalsh(sign * np.stack((Sig, Sigb)))[..., 0]
+    return _solution(grid, delta, f"control-{player}", times, values,
+                     node_index, mu, mub, residual, asym)
+
+
+def _solve_single(spec: GameSpec, grid: TimeGrid, view, label: str,
+                  rtol: float):
+    """One equation of a view with Y = P, integrated and checked:
+    (node sample, times, path, node_index, weight at the nodes, midpoint
+    residual, asymmetry sup).  A singular weight aborts first."""
     ta_n = _TimeArrays(spec, grid.nodes)
-    cache = _coefficient_cache(spec, grid)
+    cache = _coefficient_cache(spec, grid, view)
     times, values, node_index, asym = _integrate_rungs(
-        lambda t, P: _control_slope(cache.at(t), cols, P), grid,
-        ta_n.G[None], rtol)
-    values = values[:, 0]
-    node_vals = values[node_index]
+        lambda t, P: _slope(*cache.at(t), P, P), grid, ta_n.G[None], rtol)
+    fine = values[:, 0]
     mids = _midpoint_index(times, node_index)
     ta_m = _TimeArrays(spec, times[mids])
-    Di, Dib = ta_n.D[..., cols], ta_n.Dsum[..., cols]
-    Sig = ta_n.R[:, cols, cols] + _T(Di) @ node_vals @ Di
-    Sigb = ta_n.Rsum[:, cols, cols] + _T(Dib) @ node_vals @ Dib
-    _cond_violations(Sig, grid.nodes, f"player {player} control weight")
-    sign = 1.0 if player == 1 else -1.0
-    mu = np.linalg.eigvalsh(sign * Sig)[:, 0]
-    mub = np.linalg.eigvalsh(sign * Sigb)[:, 0]
-    residual = _sup_defect(node_vals[None], grid.h,
-                           _control_slope(ta_m, cols, values[mids])[None])[0]
-    regular = bool(np.min(mu) >= delta and np.min(mub) >= delta)
-    return RiccatiSolution(
-        grid=grid, kind=f"control-{player}", times=times,
-        values_fine=values, node_index=node_index,
-        regularity_margin_1=mu, regularity_margin_2=mub,
-        residual_norm=residual, strongly_regular=regular, delta=delta,
-        asymmetry_sup=asym[0])
+    P_n, P_m = fine[node_index], fine[mids]
+    _, _, _, Dt, D, _, _, R = view(ta_n)
+    Sig = R + Dt @ P_n @ D
+    _cond_violations(Sig, grid.nodes, [label])
+    residual = _sup_defect(P_n, grid.h, _slope(*view(ta_m), P_m, P_m))
+    return ta_n, times, fine, node_index, Sig, residual, asym[0]
 
 
 def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
@@ -439,39 +426,36 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
         shift = _eps_shift(spec, eps)
         names = [f"eps = {e:.6g}: " for e in eps]
     E = shift.shape[0]
+    view = partial(_pair_view, shift=shift)
     ta_n = _TimeArrays(spec, grid.nodes)
     terminal = np.repeat(np.stack((ta_n.G, ta_n.Gsum))[None], E, axis=0)
+    cache = _coefficient_cache(spec, grid, view)
     times, values, node_index, asym = _integrate_rungs(
-        _pair_rhs(_coefficient_cache(spec, grid), shift), grid, terminal,
+        lambda t, Y: _slope(*cache.at(t), Y, Y[:, :1]), grid, terminal,
         rtol, names)
 
-    # margins at the nodes and midpoint defects, all rungs at once
+    # margins at the nodes and midpoint defects of every rung and both
+    # equations at once, on axes (node, rung, equation, ...)
     mids = _midpoint_index(times, node_index)
     ta_m = _TimeArrays(spec, times[mids])
-    Y_n = np.moveaxis(values[node_index], 1, 0)
-    Y_m = np.moveaxis(values[mids], 1, 0)
-    P_n, P_m = Y_n[:, :, 0], Y_m[:, :, 0]
-    sh = shift[:, None]
-    Sig = ta_n.R + sh + _T(ta_n.D) @ P_n @ ta_n.D
-    # bar margins depend on P, not Pi
-    Sigb = ta_n.Rsum + sh + _T(ta_n.Dsum) @ P_n @ ta_n.Dsum
-    for e in range(E):
-        _cond_violations(Sig[e], grid.nodes,
-                         names[e] + "the stacked control weight")
-        _cond_violations(Sigb[e], grid.nodes,
-                         names[e] + "the mean-equation control weight")
-    res_P = _sup_defect(P_n, grid.h, _game_slope(ta_m, ta_m.R + sh, P_m))
-    res_Pi = _sup_defect(Y_n[:, :, 1], grid.h,
-                         _mean_slope(ta_m, ta_m.Rsum + sh, P_m,
-                                     Y_m[:, :, 1]))
+    Y_n, Y_m = values[node_index], values[mids]
+    _, _, _, Dt, D, _, _, R = view(ta_n)
+    # Sigma and Sigma-bar both weigh P, not Pi
+    Sig = R + Dt @ Y_n[:, :, :1] @ D
+    _cond_violations(Sig, grid.nodes, [
+        name + weight for name in names
+        for weight in ("the stacked control weight",
+                       "the mean-equation control weight")])
+    mu1, mu2 = _signed_block_margins(Sig, spec.m1)
+    res = _sup_defect(Y_n, grid.h, _slope(*view(ta_m), Y_m, Y_m[:, :, :1]))
     out = []
     for e in range(E):
         P_fine = values[:, e, 0]
         P_sol = _solution(grid, delta, "game", times, P_fine, node_index,
-                          Sig[e], spec.m1, res_P[e], asym[e])
+                          mu1[:, e, 0], mu2[:, e, 0], res[e, 0], asym[e])
         Pi_sol = _solution(grid, delta, "mean", times, values[:, e, 1],
-                           node_index, Sigb[e], spec.m1, res_Pi[e], asym[e],
-                           companion=P_fine)
+                           node_index, mu1[:, e, 1], mu2[:, e, 1], res[e, 1],
+                           asym[e], companion=P_fine)
         out.append((P_sol, Pi_sol))
     return out
 
@@ -533,12 +517,10 @@ def assemble_dg_weights(spec: GameSpec, P: RiccatiSolution,
 def check_strong_regularity(P: RiccatiSolution, spec: GameSpec,
                             delta: float = DEFAULT_DELTA) -> RegularityReport:
     """Nodewise signed margins of the plain and barred weight blocks."""
-    ta = _TimeArrays(spec, P.grid.nodes)
-    Pv = P.values
-    Sig = ta.R + _T(ta.D) @ Pv @ ta.D
-    Sigb = ta.Rsum + _T(ta.Dsum) @ Pv @ ta.Dsum
-    m1p, m2p = _signed_block_margins(Sig, spec.m1)
-    m1b, m2b = _signed_block_margins(Sigb, spec.m1)
+    _, _, _, D, _, _, R = _TimeArrays(spec, P.grid.nodes).pairs
+    # both weights at once: Sigma and Sigma-bar
+    Sig = R + _T(D) @ P.values @ D
+    (m1p, m1b), (m2p, m2b) = _signed_block_margins(Sig, spec.m1)
     passed = bool(min(m1p.min(), m2p.min(), m1b.min(), m2b.min()) >= delta)
     return RegularityReport(delta=delta, margin_1=m1p, margin_2=m2p,
                             margin_1_bar=m1b, margin_2_bar=m2b,
@@ -570,14 +552,14 @@ def riccati_residual(P: RiccatiSolution, spec: GameSpec, which: str) -> float:
     vals, ta = P.values, _TimeArrays(spec, P.grid.nodes[1:-1])
     inner = vals[1:-1]
     if which == "Ric1":
-        slope = _game_slope(ta, ta.R, inner)
+        slope = _slope(*_half_view(ta), inner, inner)
     elif which in ("Ric-1", "Ric-2"):
-        slope = _control_slope(ta, _columns(spec, int(which[-1])), inner)
+        slope = _slope(*_control_view(ta, int(which[-1])), inner, inner)
     elif which == "Ric2":
         comp = P.companion_values
         if comp is None:
             raise ValueError("Ric2 residual needs the companion game path")
-        slope = _mean_slope(ta, ta.Rsum, comp[1:-1], inner)
+        slope = _slope(*_half_view(ta, 1), inner, comp[1:-1])
     else:
         raise ValueError(f"unknown equation tag {which!r}")
     defect = (vals[2:] - vals[:-2]) / (2.0 * P.grid.h) - slope

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import mflqg._integrate
+import mflqg.riccati
 from mflqg._integrate import _TimeArrays, integrate_backward, stage_times
 from mflqg.model import GameSpec, TimeGrid, embed_perturbation
+from mflqg.perturbation import EpsSchedule
 from mflqg.riccati import (GridMismatchError, RegularityError,
                            RiccatiSolution, assemble_dg_weights,
                            check_comparison, check_strong_regularity,
@@ -294,6 +296,172 @@ def test_half_grid_solve_makes_no_single_time_sample(monkeypatch):
                 solve_control_riccati(spec, grid, 2)):
         assert sol.times.shape[0] == 2 * grid.N + 1
     assert samples == []
+
+
+# ------------------------------------------------- the fused slope
+
+# The three slopes the fused one replaced, kept as its oracle: the game
+# and mean equations each with its own solve, and the single channel
+# slicing a player's columns per call.
+
+def _T(M):
+    return M.swapaxes(-1, -2)
+
+
+def _flow(A, C, Q, Y, P, L, X):
+    YA = Y @ A
+    return -(YA + _T(YA) + _T(C) @ (P @ C) + Q - _T(L) @ X)
+
+
+def _game_slope(st, R, P):
+    DtP = _T(st.D) @ P
+    L = _T(st.B) @ P + DtP @ st.C + st.S
+    X = np.linalg.solve(R + DtP @ st.D, L)
+    return _flow(st.A, st.C, st.Q, P, P, L, X)
+
+
+def _mean_slope(st, Rsum, P, Pi):
+    DtP = _T(st.Dsum) @ P
+    Lb = _T(st.Bsum) @ Pi + DtP @ st.Csum + st.Ssum
+    X = np.linalg.solve(Rsum + DtP @ st.Dsum, Lb)
+    return _flow(st.Asum, st.Csum, st.Qsum, Pi, P, Lb, X)
+
+
+def _control_slope(st, cols, P):
+    Di = st.D[..., cols]
+    DtP = _T(Di) @ P
+    L = _T(st.B[..., cols]) @ P + DtP @ st.C + st.S[..., cols, :]
+    X = np.linalg.solve(st.R[..., cols, cols] + DtP @ Di, L)
+    return _flow(st.A, st.C, st.Q, P, P, L, X)
+
+
+class _Row:
+    """Every _TimeArrays field of one time, sampled alone."""
+
+    def __init__(self, spec, t):
+        ta = _TimeArrays(spec, np.array([t]))
+        for name in ("A", "B", "C", "D", "S", "Q", "R"):
+            setattr(self, name, getattr(ta, name)[0])
+            setattr(self, name + "sum", getattr(ta, name + "sum")[0])
+
+
+class _Captured(Exception):
+    pass
+
+
+def _solver_rhs(monkeypatch, solve):
+    """The rhs a solver hands the integrator, its memo filled."""
+    got = []
+
+    def capture(rhs, *args, **kwargs):
+        got.append(rhs)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(mflqg.riccati, "integrate_backward", capture)
+        with pytest.raises(_Captured):
+            solve()
+    return got[0]
+
+
+def _states(rng, lead, n):
+    M = 0.3 * rng.standard_normal(lead + (n, n))
+    return M + _T(M)
+
+
+_GRID = TimeGrid(1.0, 50)
+# a stage time the solvers pre-fill, and one inside no fast interval
+_TIMES = {"stage": float(stage_times(_GRID)[7]), "miss": 0.123456789}
+
+
+def _time_varying_n3():
+    spec = embed_perturbation(random_instance(np.random.default_rng(4)), 0.5)
+    co = spec.coefficients
+    assert (spec.n, spec.m1, spec.m2) == (3, 2, 2)
+    assert (co.A.kind, co.B1.kind) == ("polynomial", "polynomial")
+    return spec
+
+
+def _pair_case(case):
+    """(spec, rung eps or None) of one pair-slope case."""
+    if case == "ex61":
+        return embed_perturbation(make_example61(), 0.5), None
+    if case == "ex52":
+        return make_example52(), EpsSchedule(0.1024, 0.5, 11).values
+    return _time_varying_n3(), np.array([0.3, 0.05])
+
+
+def _single_samples(monkeypatch):
+    """Sizes of the samples a cache takes alone, through its own name."""
+    sizes = []
+
+    def counted(spec, times):
+        sizes.append(len(times))
+        return _TimeArrays(spec, times)
+
+    monkeypatch.setattr(mflqg._integrate, "_TimeArrays", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("when", sorted(_TIMES))
+@pytest.mark.parametrize("case", ["ex61", "ex52", "random-n3"])
+def test_pair_slope_matches_two_equation_oracle(monkeypatch, case, when):
+    spec, eps = _pair_case(case)
+    if eps is None:
+        shift = np.zeros((1, spec.m, spec.m))
+        rhs = _solver_rhs(monkeypatch,
+                          lambda: solve_riccati_pair(spec, _GRID))
+    else:
+        shift = mflqg.riccati._eps_shift(spec, eps)
+        rhs = _solver_rhs(monkeypatch, lambda: mflqg.riccati._solve_pairs(
+            spec, _GRID, eps, 0.0, 1e-8))
+    t = _TIMES[when]
+    Y = _states(np.random.default_rng(11), (shift.shape[0], 2), spec.n)
+    sizes = _single_samples(monkeypatch)
+    got = rhs(t, Y)
+    # a time-varying spec samples a miss alone, and a stage time never
+    assert sizes == ([1] if when == "miss" and case != "ex61" else [])
+    st = _Row(spec, t)
+    want = np.stack((_game_slope(st, st.R + shift, Y[:, 0]),
+                     _mean_slope(st, st.Rsum + shift, Y[:, 0], Y[:, 1])),
+                    axis=1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("when", sorted(_TIMES))
+def test_game_and_control_slopes_match_oracle(monkeypatch, when):
+    spec = _time_varying_n3()
+    t = _TIMES[when]
+    P = _states(np.random.default_rng(12), (1,), spec.n)
+    st = _Row(spec, t)
+    cases = [(lambda: solve_game_riccati(spec, _GRID),
+              _game_slope(st, st.R, P))]
+    for player, cols in ((1, slice(0, 2)), (2, slice(2, 4))):
+        cases.append((lambda p=player: solve_control_riccati(spec, _GRID, p),
+                      _control_slope(st, cols, P)))
+    for solve, want in cases:
+        got = _solver_rhs(monkeypatch, solve)(t, P)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_singular_weight_names_first_rung_then_sigma_before_sigma_bar():
+    # (node, rung, equation) stacks: rung 1's Sigma-bar fails at an
+    # earlier node than its Sigma, and rung 2's Sigma at the first node
+    nodes = np.linspace(0.0, 1.0, 5)
+    Sig = np.tile(np.eye(2), (5, 3, 2, 1, 1))
+    Sig[2, 1, 1] = np.diag([1.0, 1e-13])
+    Sig[4, 1, 0] = np.diag([1.0, 0.0])
+    Sig[0, 2, 0] = np.diag([1.0, 1e-14])
+    labels = [f"rung {e} {w}" for e in range(3) for w in ("Sigma", "bar")]
+    with pytest.raises(RegularityError, match="^rung 1 Sigma is") as info:
+        mflqg.riccati._cond_violations(Sig, nodes, labels)
+    assert info.value.t == 1.0
+    Sig[4, 1, 0] = np.eye(2)
+    with pytest.raises(RegularityError, match="^rung 1 bar is") as info:
+        mflqg.riccati._cond_violations(Sig, nodes, labels)
+    assert info.value.t == 0.5
 
 
 # ---------------------------------------------------------------- csv
