@@ -48,6 +48,12 @@ _FAST_SPREAD = 1e-4
 # error test can flag it; growth beyond this factor is the detector.
 _MAX_GROWTH = 1e8
 
+# Work bound: accepted segments in one grid interval.  A flow that loses
+# strong regularity without escaping is taken in ever smaller accepted
+# steps and would never reach the next node; legitimate layers (the
+# eps-ladders, escapes before they are detected) take a few hundred.
+_MAX_SEGMENTS = 4096
+
 
 class IntegrationError(RuntimeError):
     """Raised when refinement bottoms out or the flow blows up.
@@ -244,9 +250,10 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
     value (e.g. a symmetrizer); it receives and returns an array.
 
     Raises IntegrationError, carrying the failing rung, when an
-    interval still disagrees at ``max_depth`` subdivisions or a rung's
-    solution norm explodes, which is how loss of strong regularity
-    inside the horizon surfaces.
+    interval still disagrees at ``max_depth`` subdivisions, when a
+    grid interval needs more than ``_MAX_SEGMENTS`` accepted segments,
+    or when a rung's solution norm explodes, which is how loss of
+    strong regularity inside the horizon surfaces.
     """
     nodes = grid.nodes
     y = np.asarray(y_terminal, dtype=float)
@@ -326,6 +333,13 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
                 f"step refinement exhausted at t = {t_mid:.6g} "
                 f"(depth {depth}); a weight block is likely singular "
                 "there", t_mid, int(np.argmin(good)))
+        # two entries per accepted segment since the interval's start
+        if len(times_desc) - 1 - node_pos_desc[-1] >= 2 * _MAX_SEGMENTS:
+            raise IntegrationError(
+                f"step refinement stalled at t = {t_mid:.6g} after "
+                f"{_MAX_SEGMENTS} segments in one grid interval; the "
+                "flow is not regular on this horizon", t_mid,
+                int(np.argmin(good)))
         y_m, f_m = _segment(t0, t_mid, y0, f0, depth + 1)
         return _segment(t_mid, t1, y_m, f_m, depth + 1)
 

@@ -10,16 +10,19 @@ module builds that law, propagates the closed-loop mean/covariance
 pair exactly (the first two moments of a linear mean-field SDE close
 on themselves), evaluates the game functional by fourth-order
 quadrature or by Monte Carlo on the fluctuation process, and verifies
-the saddle property by probing open-loop deviations of each player
-around the realized control.
+the saddle property of any affine law against open-loop deviations of
+each player around its realized control.
 
-Deviation probing is exact, not sampled: when one player replaces its
-control by (realized control + bump) while the opponent keeps playing
-the realized process, the pair (equilibrium state, deviated state) is
-again a linear mean-field SDE, so the functional at the deviation is
-computable from joint moments.  The functional is quadratic in the
-bump size, which makes first- and second-order terms recoverable from
-a handful of evaluations per direction.
+Verification is exact, not sampled.  When one player adds a
+deterministic bump b to the realized control while the opponent keeps
+the realized process, the functional at bump size s is
+J + 2 s <E[rho], b> + s^2 J(0; b), <., .> the L2 pairing on [0, T].
+The linear term pairs b with the mean of the open-loop gradient rho,
+which one backward adjoint pass of the moment flow yields; the
+quadratic term J(0; b) is the
+homogeneous cost of b, the zero law's quadratic form.  A saddle needs
+E[rho] = 0, and that form convex in the minimizer's bumps and concave
+in the maximizer's.
 """
 
 from __future__ import annotations
@@ -312,16 +315,22 @@ class _MomentEngine:
         g = ta.Csum @ Phi + ta.Dsum @ Eu
         Y = np.concatenate((Phi, Eu), axis=1)
         cost = np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, self.Rsum[0]]])
-        # Simpson weights of the samples, boundaries shared by segments
-        h = np.diff(times[::2]) / 6.0
-        w = np.zeros((K, 1, 1))
-        w[1::2, 0, 0] = 4.0 * h
-        w[:-1:2, 0, 0] += h
-        w[2::2, 0, 0] += h
+        w = _simpson_weights(times)[:, None, None]
         H = (np.tensordot(Y, w * (cost @ Y), ((0, 1),) * 2)
              + np.tensordot(g, w * (Lam @ g), ((0, 1),) * 2)
              + Phi[-1].T @ ta.Gsum @ Phi[-1])
         return _sym(H)
+
+
+def _simpson_weights(times: np.ndarray) -> np.ndarray:
+    """Simpson weights of a partition's samples, boundaries shared by
+    the segments on either side."""
+    h = np.diff(times[::2]) / 6.0
+    w = np.zeros(times.shape[0])
+    w[1::2] = 4.0 * h
+    w[:-1:2] += h
+    w[2::2] += h
+    return w
 
 
 def _sweep(times: np.ndarray, y0: np.ndarray, rhs, backward: bool = False):
@@ -478,119 +487,35 @@ def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
 # open-loop deviations and saddle verification
 # ----------------------------------------------------------------------
 
-class _DeviationEngine:
-    """Functional values along open-loop bumps of the realized control.
+def _open_loop_gradient(eng: _MomentEngine, cl: ControlLaw,
+                        mean: np.ndarray) -> np.ndarray:
+    """Mean E[rho] of the open-loop gradient along a law's realization.
 
-    The base law runs closed-loop; the deviated state follows the
-    realized control plus a deterministic bump, so its fluctuation
-    Yd = Xd - E[Xd] couples to the base fluctuation Y through the
-    shared control noise term.  With Lc = E[Y Yd'], the joint moment
-    flow is again linear-quadratic, and the state marched here is
-    (base mean, base cov, deviated mean, Lc, deviated cov) with the
-    last three batched over bumps.
+    ``mean`` is the realized state mean at every sample.  The first
+    adjoint Lam pairs the base fluctuation with a bump's and solves
+    -Lam' = Lam F + A' Lam + C' Lam Gm + Q + S' gain, Lam(T) = G; the
+    second, lam, carries the means: -lam' = Asum' lam + Qsum m +
+    Ssum' E[u] + Csum' Lam g, lam(T) = Gsum m(T), with g = Csum m +
+    Dsum E[u] the mean of the diffusion.  Then E[rho] = Bsum' lam +
+    Dsum' Lam g + Ssum m + Rsum E[u], and a deterministic bump b moves
+    the functional by 2 int <E[rho], b> to first order.
     """
+    ta, times = eng.ta, cl.times
+    F, Gm = eng.F[0], eng.Gm[0]
+    AT, CT, AsT = _T(ta.A), _T(ta.C), _T(ta.Asum)
+    forcing = ta.Q + _T(ta.S) @ cl.gain
 
-    def __init__(self, spec: GameSpec, cl: ControlLaw):
-        self.cl = cl
-        self.eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
-        self.ta = self.eng.ta
+    def fluctuation(k, L):
+        return -(L @ F[k] + AT[k] @ L + CT[k] @ L @ Gm[k] + forcing[k])
 
-    def _deu(self, idx, base_mean, bumps):
-        """Mean of the deviated control: realized mean plus the bump."""
-        eu = self.cl.mean_gain[idx] @ base_mean + self.cl.offset[idx]
-        return eu[None] + bumps[:, idx]
-
-    def _rhs(self, idx, state, bumps):
-        eng, ta, cl = self.eng, self.ta, self.cl
-        mean, cov, dmean, cross, dcov = state
-        dm, dC = eng._rhs(idx, mean[None], cov[None], cl.offset[None])
-        eu = cl.mean_gain[idx] @ mean + cl.offset[idx]
-        g = ta.Csum[idx] @ mean + ta.Dsum[idx] @ eu
-
-        deu = eu[None] + bumps[:, idx]
-        ddm = (np.einsum("ij,bj->bi", ta.Asum[idx], dmean)
-               + np.einsum("im,bm->bi", ta.Bsum[idx], deu))
-        dg = (np.einsum("ij,bj->bi", ta.Csum[idx], dmean)
-              + np.einsum("im,bm->bi", ta.Dsum[idx], deu))
-        F, Gm = eng.F[0, idx], eng.Gm[0, idx]
-        A, C = ta.A[idx], ta.C[idx]
-        Bg = ta.B[idx] @ cl.gain[idx]
-        Dg = ta.D[idx] @ cl.gain[idx]
-        # d/dt E[Y Yd']: drift F Y / (A Yd + Bg Y), noise (Gm Y + g) /
-        # (C Yd + Dg Y + dg)
-        dcross = (np.einsum("ij,bjk->bik", F, cross)
-                  + np.einsum("bik,jk->bij", cross, A)
-                  + (cov @ Bg.T)[None]
-                  + np.einsum("ij,bjk,lk->bil", Gm, cross, C)
-                  + (Gm @ cov @ Dg.T)[None]
-                  + np.einsum("i,bj->bij", g, dg))
-        AL = np.einsum("ij,bjk->bik", A, dcov)
-        BgL = np.einsum("ij,bjk->bik", Bg, cross)
-        CLC = np.einsum("ij,bjk,lk->bil", C, dcov, C)
-        CLDg = np.einsum("ij,bkj,lk->bil", C, cross, Dg)
-        ddcov = (AL + np.swapaxes(AL, 1, 2) + BgL + np.swapaxes(BgL, 1, 2)
-                 + CLC + CLDg + np.swapaxes(CLDg, 1, 2)
-                 + (Dg @ cov @ Dg.T)[None]
-                 + np.einsum("bi,bj->bij", dg, dg))
-        return (dm[0], dC[0], ddm, dcross, ddcov)
-
-    def _integrand(self, idx, state, bumps):
-        ta, cl = self.ta, self.cl
-        mean, cov, dmean, cross, dcov = state
-        deu = self._deu(idx, mean, bumps)
-        gain = cl.gain[idx]
-        gS = gain.T @ ta.S[idx]
-        # E<Q Xd, Xd> + 2 E<S Xd, ud> + E<R ud, ud> + barred mean terms;
-        # the fluctuation of ud is gain @ Y (the base state's), so the
-        # cross-covariance carries the mixed S term
-        c = (np.einsum("ij,bji->b", ta.Q[idx], dcov)
-             + np.einsum("bi,ij,bj->b", dmean, ta.Qsum[idx], dmean)
-             + 2.0 * np.einsum("ij,bij->b", gS, cross)
-             + 2.0 * np.einsum("bm,mn,bn->b", deu, ta.Ssum[idx], dmean)
-             + np.einsum("ij,ji->", gain.T @ ta.R[idx] @ gain, cov)
-             + np.einsum("bm,mr,br->b", deu, ta.Rsum[idx], deu))
-        return c
-
-    def run(self, x0, bumps: np.ndarray):
-        """Functional values J(x0; realized control + bump_b)."""
-        ta = self.ta
-        times = self.cl.times
-        K = times.shape[0]
-        B = bumps.shape[0]
-        n = ta.n
-        x0 = np.asarray(x0, dtype=float).reshape(n)
-        state = (x0.copy(), np.zeros((n, n)), np.tile(x0, (B, 1)),
-                 np.zeros((B, n, n)), np.zeros((B, n, n)))
-        value = np.zeros(B)
-
-        def _axpy(s, h, d):
-            return tuple(a + h * b for a, b in zip(s, d))
-
-        d0 = self._rhs(0, state, bumps)
-        c0 = self._integrand(0, state, bumps)
-        for j in range(0, K - 2, 2):
-            i0, i1, i2 = j, j + 1, j + 2
-            h = times[i2] - times[i0]
-            k2 = self._rhs(i1, _axpy(state, 0.5 * h, d0), bumps)
-            k3 = self._rhs(i1, _axpy(state, 0.5 * h, k2), bumps)
-            k4 = self._rhs(i2, _axpy(state, h, k3), bumps)
-            state_n = tuple(
-                s + (h / 6.0) * (a + 2.0 * (b + c) + d)
-                for s, a, b, c, d in zip(state, d0, k2, k3, k4))
-            state_n = (state_n[0], _sym(state_n[1]), state_n[2],
-                       state_n[3], _sym(state_n[4]))
-            d1 = self._rhs(i2, state_n, bumps)
-            state_mid = tuple(hermite_midpoint(s0, s1, f0, f1, h)
-                              for s0, s1, f0, f1 in zip(state, state_n,
-                                                        d0, d1))
-            cm = self._integrand(i1, state_mid, bumps)
-            c1 = self._integrand(i2, state_n, bumps)
-            value += (h / 6.0) * (c0 + 4.0 * cm + c1)
-            state, d0, c0 = state_n, d1, c1
-        _, _, dmean, _, dcov = state
-        value += (np.einsum("ij,bji->b", ta.G, dcov)
-                  + np.einsum("bi,ij,bj->b", dmean, ta.Gsum, dmean))
-        return value
+    Lam = _sweep(times, ta.G, fluctuation, backward=True)
+    eu = _mv(cl.mean_gain, mean) + cl.offset
+    Lg = _mv(Lam, _mv(ta.Csum, mean) + _mv(ta.Dsum, eu))
+    drive = _mv(ta.Qsum, mean) + _mv(_T(ta.Ssum), eu) + _mv(_T(ta.Csum), Lg)
+    lam = _sweep(times, ta.Gsum @ mean[-1],
+                 lambda k, l: -(AsT[k] @ l + drive[k]), backward=True)
+    return (_mv(_T(ta.Bsum), lam) + _mv(_T(ta.Dsum), Lg)
+            + _mv(ta.Ssum, mean) + _mv(ta.Rsum, eu))
 
 
 def _direction_shapes(times: np.ndarray):
@@ -613,12 +538,15 @@ def _direction_shapes(times: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class SaddleReport:
-    """Outcome of open-loop saddle probing around a law.
+    """Outcome of open-loop saddle verification around a law.
 
     ``stationarity`` and ``curvature`` are per-direction: the linear
-    and quadratic coefficients of the functional in the bump size.
-    A saddle needs all linear terms ~ 0, nonnegative curvature for
-    the minimizing player, nonpositive for the maximizing one.
+    and quadratic coefficients of the functional in the bump size,
+    2 int <E[rho], b> and J(0; b).  A saddle needs all linear terms
+    ~ 0, nonnegative curvature for the minimizing player, nonpositive
+    for the maximizing one.  ``quadratic_defect`` is the gap between
+    ``value`` and the law's own quadratic form at (x0, 1), which the
+    two certificates' quadratures must agree on.
     """
 
     is_saddle: bool
@@ -636,53 +564,39 @@ class SaddleReport:
 
 def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6,
                   curvature_tol: float = 1e-9) -> SaddleReport:
-    """Probe the saddle property of a law by open-loop deviations.
+    """Verify the saddle property of a law against open-loop bumps.
 
     Each player's realized control is bumped along unit-norm window
-    and polynomial directions in every control coordinate, at sizes
-    +-1 and +-0.1; the opponent keeps the realized control process.
-    The functional is exactly quadratic in the size, so the linear
-    and quadratic coefficients per direction are recovered exactly up
-    to quadrature roundoff (their cross-size disagreement is reported
-    as ``quadratic_defect``).
+    and polynomial directions in every control coordinate while the
+    opponent keeps the realized control process.  The linear term of
+    each bump is the Simpson pairing of the bump with the open-loop
+    gradient from one adjoint sweep; its curvature is the diagonal of
+    the zero law's quadratic form over the bumps, the form ``check``'s
+    sections use.  ``value`` is the law's functional from one moment
+    run, and ``quadratic_defect`` its gap to the law's quadratic form.
     """
     cl = _as_control_law(law)
-    K = cl.times.shape[0]
-    m, m1 = spec.m, spec.m1
-    shapes = _direction_shapes(cl.times)
-    dirs = []
-    players = []
-    for player, lo, mi in ((1, 0, spec.m1), (2, m1, spec.m2)):
-        for coord in range(mi):
-            for _name, shape in shapes:
-                b = np.zeros((K, m))
-                b[:, lo + coord] = shape
-                dirs.append(b)
-                players.append(player)
-    players = np.array(players)
-    D = len(dirs)
-    lams = (1.0, -1.0, 0.1, -0.1)
-    bumps = np.empty((1 + 4 * D, K, m))
-    bumps[0] = 0.0
-    for d, b in enumerate(dirs):
-        for i, lam in enumerate(lams):
-            bumps[1 + 4 * d + i] = lam * b
-    dev = _DeviationEngine(spec, cl)
-    values = dev.run(x0, bumps)
+    K, n, m = cl.times.shape[0], spec.n, spec.m
+    shapes = [shape for _name, shape in _direction_shapes(cl.times)]
+    players = np.repeat([1, 2], [spec.m1 * len(shapes),
+                                 spec.m2 * len(shapes)])
+    # direction (coordinate, shape) bumps one control coordinate
+    dirs = np.zeros((m, len(shapes), K, m))
+    for coord in range(m):
+        dirs[coord, :, :, coord] = shapes
+    dirs = dirs.reshape(-1, K, m)
+
+    eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
+    values, _, mean_path, _ = eng.run(x0, cl.offset[None], record=True)
     base = float(values[0])
-    lin = np.empty(D)
-    quad = np.empty(D)
-    defect = 0.0
-    for d in range(D):
-        jp, jm, jp1, jm1 = values[1 + 4 * d:5 + 4 * d]
-        lin_big = 0.5 * (jp - jm)
-        quad_big = 0.5 * (jp + jm) - base
-        lin_small = (jp1 - jm1) / 0.2
-        quad_small = (0.5 * (jp1 + jm1) - base) / 0.01
-        lin[d] = lin_big if abs(lin_big) > abs(lin_small) else lin_small
-        quad[d] = quad_big
-        defect = max(defect, abs(quad_big - quad_small),
-                     abs(lin_big - lin_small))
+    z = np.append(np.asarray(x0, dtype=float).reshape(n), 1.0)
+    defect = abs(base - z @ eng.form(cl.offset[None]) @ z)
+    grad = _open_loop_gradient(eng, cl, mean_path[0])
+    lin = 2.0 * np.einsum("k,km,dkm->d", _simpson_weights(cl.times), grad,
+                          dirs)
+    zero = np.zeros_like(cl.gain)
+    quad = np.diagonal(_MomentEngine(spec, cl.times, zero, zero,
+                                     arrays=eng.ta).form(dirs))[n:]
     scale = 1.0 + abs(base)
     cur1 = quad[players == 1]
     cur2 = quad[players == 2]

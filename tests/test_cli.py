@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, reports, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflqg
 from mflqg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_PASS, main
 
 
@@ -64,6 +69,21 @@ def test_solve_degenerate_weights_hit_singular_solve(capsys):
                        "--grid", "100")
     assert code == EXIT_NUMERIC
     assert "singular" in cap.err
+
+
+def test_solve_stalled_refinement_exits_numeric():
+    # a random game (embedded at eps = 0.5) whose pair flow loses strong
+    # regularity near t = 0.0041 without escaping: refinement crawls at
+    # steps near 1e-10 until the per-interval work bound stops it.  Run
+    # in a child process, so a crawl fails the test instead of hanging.
+    config = Path(__file__).parent / "data" / "stalled_flow.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(mflqg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflqg.cli", "solve", "--config",
+         str(config), "--eps", "0.5", "--grid", "50"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "segments in one grid interval" in proc.stderr
 
 
 def test_solve_rejects_wrong_state_length(capsys):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from mflqg.model import ControlLaw, TimeGrid, embed_perturbation
+from mflqg.model import (CoefficientPath, ControlLaw, GameSpec, TimeGrid,
+                         embed_perturbation)
 from mflqg.riccati import solve_riccati_pair
-from mflqg.synthesis import (build_feedback, evaluate_functional,
-                             evaluate_functional_mc, propagate_moments,
-                             stationarity_residual, verify_saddle,
-                             write_feedback_csv, write_moments_csv)
+from mflqg.synthesis import (_direction_shapes, build_feedback,
+                             evaluate_functional, evaluate_functional_mc,
+                             propagate_moments, stationarity_residual,
+                             verify_saddle, write_feedback_csv,
+                             write_moments_csv)
 
 from conftest import make_example52, make_example61, random_instance
 
@@ -158,6 +160,164 @@ def test_verify_saddle_zero_candidate_on_spread_game():
     bad = verify_saddle(spec, law, [1.0])
     assert not bad.is_saddle
     assert bad.stationarity_sup == pytest.approx(2.0, abs=1e-6)
+
+
+# --------------------------------------- open-loop bumps by an oracle
+
+def _coefficients(path):
+    """Polynomial coefficients of a constant or polynomial path."""
+    if path.kind == "constant":
+        return path.payload[0][None]
+    assert path.kind == "polynomial", path.kind
+    return path.payload[0]
+
+
+def _block(rows, T):
+    """One polynomial path from a block matrix whose entries are paths
+    or constant arrays."""
+    rows = [[_coefficients(CoefficientPath.constant(p, T)
+                           if isinstance(p, np.ndarray) else p)
+             for p in row] for row in rows]
+    deg = max(len(c) for row in rows for c in row)
+    rows = [[np.concatenate((c, np.zeros((deg - len(c),) + c.shape[1:])))
+             for c in row] for row in rows]
+    return CoefficientPath.polynomial(
+        [np.block([[c[k] for c in row] for row in rows])
+         for k in range(deg)], T)
+
+
+def doubled_game(spec):
+    """The game of (X, Z) under the controls (u, b).
+
+    Z follows the original dynamics driven by b alone, on the same
+    Brownian motion, and every weight acts on X + Z and u + b.  So a
+    law playing u on X and the open-loop offset b has the functional
+    J(x; u + b) of the original game from (x, 0): the bumped state is
+    X + Z.
+    """
+    co, w, T = spec.coefficients, spec.weights, spec.T
+    n, m1, m2 = spec.n, spec.m1, spec.m2
+    zero = np.zeros((n, n))
+
+    def diag(p):
+        return _block([[p, zero], [zero, p]], T)
+
+    def full(p):
+        return _block([[p, p], [p, p]], T)
+
+    def controls(p1, p2):
+        z = (np.zeros((n, m1)), np.zeros((n, m2)))
+        return _block([[p1, p2], z], T), _block([z, [p1, p2]], T)
+
+    def weights(s1, s2, r11, r12, r22):
+        s = _block([[s1, s1], [s2, s2]], T)
+        r12t = CoefficientPath.polynomial(
+            _coefficients(r12).transpose(0, 2, 1), T)
+        r = _block([[r11, r12], [r12t, r22]], T)
+        return dict(S1=s, S2=s, R11=r, R12=r, R22=r)
+
+    B1, B2 = controls(co.B1, co.B2)
+    B1bar, B2bar = controls(co.B1bar, co.B2bar)
+    D1, D2 = controls(co.D1, co.D2)
+    D1bar, D2bar = controls(co.D1bar, co.D2bar)
+    bars = weights(w.S1bar, w.S2bar, w.R11bar, w.R12bar, w.R22bar)
+    return GameSpec.from_matrices(
+        n=2 * n, m1=spec.m, m2=spec.m, T=T,
+        A=diag(co.A), Abar=diag(co.Abar), C=diag(co.C), Cbar=diag(co.Cbar),
+        B1=B1, B2=B2, B1bar=B1bar, B2bar=B2bar,
+        D1=D1, D2=D2, D1bar=D1bar, D2bar=D2bar,
+        Q=full(w.Q), Qbar=full(w.Qbar),
+        G=np.block([[w.G, w.G], [w.G, w.G]]),
+        Gbar=np.block([[w.Gbar, w.Gbar], [w.Gbar, w.Gbar]]),
+        **weights(w.S1, w.S2, w.R11, w.R12, w.R22),
+        **{k + "bar": v for k, v in bars.items()})
+
+
+def bump_coefficients(spec, cl, x):
+    """Linear and quadratic coefficients of s -> J(x; u + s b) for every
+    direction b of verify_saddle, from J at s = 0, +-1 on the doubled
+    game (the functional is exactly quadratic in s)."""
+    big = doubled_game(spec)
+    K, m, n = cl.gain.shape
+    gain, mean_gain = np.zeros((2, K, 2 * m, 2 * n))
+    gain[:, :m, :n], mean_gain[:, :m, :n] = cl.gain, cl.mean_gain
+    x2 = np.concatenate((x, np.zeros(n)))
+
+    def value(b):
+        law = ControlLaw(times=cl.times, gain=gain, mean_gain=mean_gain,
+                         offset=np.concatenate((cl.offset, b), axis=1))
+        return evaluate_functional(big, law, x2).value
+
+    base = value(np.zeros((K, m)))
+    lin, quad, window = [], [], []
+    for coord in range(m):
+        for name, shape in _direction_shapes(cl.times):
+            b = np.zeros((K, m))
+            b[:, coord] = shape
+            up, down = value(b), value(-b)
+            lin.append(0.5 * (up - down))
+            quad.append(0.5 * (up + down) - base)
+            window.append(name.startswith("window"))
+    return base, np.array(lin), np.array(quad), np.array(window)
+
+
+def _bump_cases():
+    # the examples' quadratures are exact on their bumps, so one grid
+    # shows the routes agree to roundoff in every direction
+    ex52, ex61 = make_example52(), make_example61()
+    yield ("ex52 target", ex52, [1.0], (200,),
+           lambda g: ControlLaw.from_offset(ex52, g, np.array([0.0, -1.0])))
+    yield ("ex52 shifted", ex52, [1.0], (200,),
+           lambda g: ControlLaw.from_offset(ex52, g, np.array([0.3, -1.0])))
+    for x in (0.0, 1.0):
+        yield (f"ex61 zero x={x}", ex61, [x], (200,),
+               lambda g: ControlLaw.zero(ex61, g))
+    # noisy games whose paths are constant or polynomial (the doubling
+    # blocks polynomial coefficients), each at its saddle feedback and
+    # at that feedback plus a smooth offset
+    rng = np.random.default_rng(2024)
+    games = 0
+    while games < 2:
+        spec = embed_perturbation(random_instance(rng), 0.5)
+        x = rng.standard_normal(spec.n)
+        if "piecewise" in (spec.coefficients.A.kind,
+                           spec.coefficients.B1.kind):
+            continue
+        games += 1
+
+        def feedback(g, spec=spec, off=0.0):
+            cl = build_feedback(spec, *solve_riccati_pair(spec, g)
+                                ).as_control_law()
+            shift = off * np.cos(3.0 * cl.times)[:, None] * np.ones(spec.m)
+            return ControlLaw(times=cl.times, gain=cl.gain,
+                              mean_gain=cl.mean_gain,
+                              offset=cl.offset + shift)
+
+        yield (f"random {games} feedback", spec, x, (200, 400), feedback)
+        yield (f"random {games} offset", spec, x, (200, 400),
+               lambda g, f=feedback: f(g, off=0.4))
+
+
+@pytest.mark.parametrize("case", list(_bump_cases()), ids=lambda c: c[0])
+def test_verify_saddle_matches_doubled_game_oracle(case):
+    _, spec, x, grids, make_law = case
+    x = np.asarray(x, dtype=float)
+    gaps = []
+    for N in grids:
+        cl = make_law(TimeGrid(1.0, N))
+        rep = verify_saddle(spec, cl, x)
+        assert rep.value == evaluate_functional(spec, cl, x).value
+        base, lin, quad, window = bump_coefficients(spec, cl, x)
+        scale = 1.0 + abs(base) + np.max(np.abs(lin)) + np.max(np.abs(quad))
+        gap = np.maximum(np.abs(rep.stationarity - lin),
+                         np.abs(rep.curvature - quad)) / scale
+        assert abs(rep.value - base) <= 1e-12 * scale
+        assert np.all(gap[~window] <= 1e-9)
+        gaps.append(gap[window].max())
+    # a window bump jumps inside a segment, which neither route resolves
+    # beyond second order in h: the gap must shrink with the step (or,
+    # on one grid, be roundoff)
+    assert gaps[-1] <= max(gaps[0] / 3.0, 1e-13)
 
 
 # ---------------------------------------------------------------- csv
