@@ -169,8 +169,8 @@ def build_section(spec: GameSpec, grid: TimeGrid,
 
     Under the zero law the state mean is linear in the initial state
     x and the coefficients c, and the covariance enters the cost only
-    through the noise-intensity mean, so one forward sweep of the
-    mean response and one backward Lyapunov sweep give the whole form
+    through the noise-intensity mean, so one forward march of the
+    mean response and one backward Lyapunov march give the whole form
     [x; c]' H [x; c] (``_MomentEngine.form``); O, K and M are its
     state-state, control-state and control-control blocks.
     ``basis_blocks`` must divide the grid so indicator edges sit on

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import _mv, _T, _TimeArrays
+from ._integrate import _T, _TimeArrays
 from .model import DEFAULT_DELTA, GameSpec, TimeGrid, embed_perturbation
 from .riccati import (DEFAULT_RTOL, RiccatiSolution, _eps_shift, _solve_pairs,
                       solve_riccati_pair)
 from .synthesis import (FeedbackLaw, SaddleReport, _feedback_fields,
-                        _MomentEngine, build_feedback, evaluate_functional,
+                        _march, _mean_system, _MomentEngine, _simpson_weights,
+                        _vec_op, build_feedback, evaluate_functional,
                         verify_saddle)
 
 __all__ = [
@@ -176,85 +177,57 @@ def _chain_distances(spec: GameSpec, laws: list, x) -> np.ndarray:
     Every law is driven by the same noise, so the gaps solve one joint
     moment system: each law's state mean and covariance, plus the
     cross covariance of each consecutive pair of states, stacked as
-    Z = (L_0 .. L_{E-1}, X_01 .. X_{E-2,E-1}).  The march runs two RK4
-    half-steps per segment of the union of the laws' segment
-    boundaries and integrates the squared gaps by Simpson's rule; laws
-    and coefficients are sampled once, at the march's stage times.
+    Z = (L_0 .. L_{E-1}, X_01 .. X_{E-2,E-1}).  ``_march`` takes two
+    RK4 half-steps per segment of the union of the laws' segment
+    boundaries: first for every law's mean, then for every Z entry, a
+    linear system of its own forced at the means' stages.  Simpson's
+    rule over the half-step boundaries integrates the squared gaps;
+    laws and coefficients are sampled once, at the stage times.
     """
-    E = len(laws)
-    x0 = np.asarray(x, dtype=float).reshape(spec.n)
+    E, n = len(laws), spec.n
     bounds = laws[0][0][::2]
     for law in laws[1:]:
         bounds = np.union1d(bounds, law[0][::2])
     ts = _stage_times(bounds)
-    S = ts.shape[0]
-    ta = _TimeArrays(spec, ts.ravel())
+    h = np.repeat(0.5 * np.diff(bounds), 2)
 
-    def coef(arr):
-        return arr.reshape((S, 7, 1) + arr.shape[1:])
+    def sampled(tq):
+        return (np.stack([_sample(law[0], law[i], tq) for law in laws])
+                for i in (1, 2, 3))
 
-    As, Bs, Cs, Ds = (coef(ta.Asum), coef(ta.Bsum), coef(ta.Csum),
-                      coef(ta.Dsum))
-    gain, mean_gain, offset = (
-        np.stack([_sample(law[0], law[i], ts) for law in laws], axis=2)
-        for i in (1, 2, 3))
-    F = coef(ta.A) + coef(ta.B) @ gain
-    Gm = coef(ta.C) + coef(ta.D) @ gain
-    # Z entry z pairs law lo[z] (left) with law hi[z] (right)
-    lo = np.r_[0:E, 0:E - 1]
-    hi = np.r_[0:E, 1:E]
-    FL, FR = F[:, :, lo], _T(F[:, :, hi])
-    GL, GR = Gm[:, :, lo], _T(Gm[:, :, hi])
-    gg = _T(gain[:, :, lo]) @ gain[:, :, hi]
+    def stages(arr):
+        return [arr[:, j::4] for j in range(4)]
 
-    def rhs(k, j, state):
-        m, Z = state
-        eu = _mv(mean_gain[k, j], m) + offset[k, j]
-        s = _mv(Cs[k, j], m) + _mv(Ds[k, j], eu)
-        dm = _mv(As[k, j], m) + _mv(Bs[k, j], eu)
-        dZ = (FL[k, j] @ Z + Z @ FR[k, j] + GL[k, j] @ Z @ GR[k, j]
-              + s[lo][:, :, None] * s[hi][:, None, :])
-        return dm, dZ
-
-    def gap_sq(k, j, state):
-        m, Z = state
-        eu = _mv(mean_gain[k, j], m) + offset[k, j]
-        tr = np.trace(gg[k, j, :E] @ Z[:E], axis1=-2, axis2=-1)
-        cross = np.einsum("eij,eij->e", gg[k, j, E:], Z[E:])
-        mean = eu[:-1] - eu[1:]
-        return (tr[:-1] + tr[1:] - 2.0 * cross
-                + np.einsum("ei,ei->e", mean, mean))
-
-    def axpy(a, xs, ys):
-        return tuple(y + a * x for x, y in zip(xs, ys))
-
-    def rk4(k, j, h, state, f0):
-        """RK4 step of width h from slot j, stages at slots j+1, j+2."""
-        k2 = rhs(k, j + 1, axpy(0.5 * h, f0, state))
-        k3 = rhs(k, j + 1, axpy(0.5 * h, k2, state))
-        k4 = rhs(k, j + 2, axpy(h, k3, state))
-        step = tuple((a + 2.0 * b + 2.0 * c + d) / 6.0
-                     for a, b, c, d in zip(f0, k2, k3, k4))
-        return axpy(h, step, state)
-
-    state = (np.tile(x0, (E, 1)), np.zeros((2 * E - 1, spec.n, spec.n)))
-    total = np.zeros(E - 1)
-    f = rhs(0, 0, state)
-    g0 = gap_sq(0, 0, state)
-    for k in range(S):
-        h = bounds[k + 1] - bounds[k]
-        s_mid = rk4(k, 0, 0.5 * h, state, f)
-        f_mid = rhs(k, 3, s_mid)
-        m_end, Z_end = rk4(k, 3, 0.5 * h, s_mid, f_mid)
-        gm = gap_sq(k, 3, s_mid)
-        # the covariances are symmetrized, the cross covariances not
-        state = (m_end, np.concatenate((0.5 * (Z_end[:E] + _T(Z_end[:E])),
-                                        Z_end[E:])))
-        f = rhs(k, 6, state)
-        g1 = gap_sq(k, 6, state)
-        total += h / 6.0 * (g0 + 4.0 * gm + g1)
-        g0 = g1
-    return np.sqrt(np.maximum(total, 0.0))
+    # half-step 2k of segment k takes its stages at slots 0, 1, 1, 2,
+    # half-step 2k + 1 at slots 3, 4, 4, 5; slot 6 ends the segment
+    st = ts[:, [0, 1, 1, 2, 3, 4, 4, 5]].ravel()
+    ta = _TimeArrays(spec, st)
+    gain, mean_gain, offset = sampled(st)
+    F, Gm = ta.A + ta.B @ gain, ta.C + ta.D @ gain
+    Mz, Gz = _mean_system(ta, mean_gain, offset)[:2]
+    # stacks are dropped once used, so the peak memory stays flat
+    del ta, gain, mean_gain, offset
+    z0 = np.append(np.asarray(x, dtype=float).reshape(n), 1.0)
+    z, zs = _march(stages(Mz), None, h, np.tile(z0[:, None], (E, 1, 1)))
+    s = [G @ y for G, y in zip(stages(Gz), zs)]
+    del Mz, Gz, zs
+    # Z entry i pairs law lo[i] (left) with law hi[i] (right)
+    lo, hi = np.r_[0:E, 0:E - 1], np.r_[0:E, 1:E]
+    Z = _march(stages(_vec_op(F[lo], F[hi], Gm[lo], Gm[hi])),
+               [(sj[lo] * _T(sj[hi])).reshape(2 * E - 1, -1, n * n, 1)
+                for sj in s], h, np.zeros((2 * E - 1, n * n, 1)))
+    # the squared gaps at the half-step boundaries: slots 0 and 3, and
+    # the last segment's slot 6
+    tb = np.append(ts[:, [0, 3]].ravel(), ts[-1, 6])
+    gain, mean_gain, offset = sampled(tb)
+    pair = np.einsum("ikmn,ikmn->ik", _T(gain[lo]) @ gain[hi],
+                     Z.reshape(2 * E - 1, -1, n, n))
+    du = np.diff((mean_gain @ z[..., :n, :])[..., 0] + offset, axis=0)
+    gap = (pair[:E - 1] + pair[1:E] - 2.0 * pair[E:]
+           + np.einsum("ekm,ekm->ek", du, du))
+    # row by row, so a pair's sum does not depend on the chain length
+    return np.sqrt(np.maximum(np.sum(gap * _simpson_weights(tb), axis=1),
+                              0.0))
 
 
 def control_distance(spec: GameSpec, it_a, it_b, x,

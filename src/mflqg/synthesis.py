@@ -171,13 +171,14 @@ class _MomentEngine:
     One engine is bound to a partition and to one law, gains of shape
     (K, m, n), or to one law per batch row, (B, K, m, n), row b's R
     and R + Rbar shifted by ``shift[b]`` (the rungs of a ladder).
-    ``run`` evaluates the functional for a batch of offset paths in a
-    single RK4 sweep, since offsets enter the moment dynamics only
-    through the control mean.  Cost and squared control norm
-    accumulate by Simpson's rule with Hermite midpoint states,
-    matching the integrator's fourth order.  ``form`` returns the
-    functional of one law over spans of offset paths as one quadratic
-    form instead.
+    ``run`` evaluates the functional for a batch of offset paths, which
+    enter the moments only through the control mean: ``_march`` takes
+    the mean in z = (m, 1), then the covariance, forced at the mean's
+    RK4 stages, each as one affine step map per segment.  Cost and
+    squared control norm are Simpson sums over boundaries and Hermite
+    midpoints, matching the integrator's fourth order.  ``form``
+    returns the functional of one law over spans of offset paths as
+    one quadratic form instead.
     """
 
     def __init__(self, spec: GameSpec, times: np.ndarray, gain: np.ndarray,
@@ -200,84 +201,42 @@ class _MomentEngine:
         self.gg = _T(gain) @ gain
         self.times = times
 
-    def _eu(self, idx, mean, v):
-        return _mv(self.mean_gain[:, idx], mean) + v[:, idx]
-
-    def _rhs(self, idx, mean, cov, v):
-        ta = self.ta
-        eu = self._eu(idx, mean, v)
-        dm = (np.einsum("ij,bj->bi", ta.Asum[idx], mean)
-              + np.einsum("im,bm->bi", ta.Bsum[idx], eu))
-        g = (np.einsum("ij,bj->bi", ta.Csum[idx], mean)
-             + np.einsum("im,bm->bi", ta.Dsum[idx], eu))
-        FL = self.F[:, idx] @ cov
-        Gm = self.Gm[:, idx]
-        dC = FL + _T(FL) + Gm @ cov @ _T(Gm) + g[:, :, None] * g[:, None, :]
-        return dm, dC
-
-    def _integrands(self, idx, mean, cov, v):
-        ta = self.ta
-        eu = self._eu(idx, mean, v)
-        c = (np.einsum("...ij,...ji->...", self.W[:, idx], cov)
-             + np.einsum("bi,ij,bj->b", mean, ta.Qsum[idx], mean)
-             + 2.0 * np.einsum("bm,mn,bn->b", eu, ta.Ssum[idx], mean)
-             + np.einsum("...m,...mk,...k->...", eu, self.Rsum[:, idx], eu))
-        nrm = (np.einsum("...ij,...ji->...", self.gg[:, idx], cov)
-               + np.einsum("bm,bm->b", eu, eu))
-        return c, nrm
-
     def run(self, x0, v: np.ndarray, record: bool = False):
         """Propagate moments for every offset path in the batch.
 
         v has shape (B, K, m).  Returns (value, norm_sq) arrays of
         shape (B,), plus (mean_path, cov_path) when ``record``.
         """
-        ta = self.ta
-        times = self.times
-        K = times.shape[0]
-        B = v.shape[0]
-        n = ta.n
-        x0 = np.asarray(x0, dtype=float).reshape(n)
-        mean = np.tile(x0, (B, 1))
-        cov = np.zeros((B, n, n))
-        value = np.zeros(B)
-        norm_sq = np.zeros(B)
-        if record:
-            mean_path = np.empty((B, K, n))
-            cov_path = np.empty((B, K, n, n))
-            mean_path[:, 0] = mean
-            cov_path[:, 0] = cov
-        dm0, dC0 = self._rhs(0, mean, cov, v)
-        c0, r0 = self._integrands(0, mean, cov, v)
-        for j in range(0, K - 2, 2):
-            i0, i1, i2 = j, j + 1, j + 2
-            h = times[i2] - times[i0]
-            m2_, C2_ = mean + 0.5 * h * dm0, cov + 0.5 * h * dC0
-            k2m, k2C = self._rhs(i1, m2_, C2_, v)
-            m3_, C3_ = mean + 0.5 * h * k2m, cov + 0.5 * h * k2C
-            k3m, k3C = self._rhs(i1, m3_, C3_, v)
-            m4_, C4_ = mean + h * k3m, cov + h * k3C
-            k4m, k4C = self._rhs(i2, m4_, C4_, v)
-            mean_n = mean + (h / 6.0) * (dm0 + 2.0 * (k2m + k3m) + k4m)
-            cov_n = _sym(cov + (h / 6.0) * (dC0 + 2.0 * (k2C + k3C) + k4C))
-            dm1, dC1 = self._rhs(i2, mean_n, cov_n, v)
-            mean_mid = hermite_midpoint(mean, mean_n, dm0, dm1, h)
-            cov_mid = _sym(hermite_midpoint(cov, cov_n, dC0, dC1, h))
-            cm, rm = self._integrands(i1, mean_mid, cov_mid, v)
-            c1, r1 = self._integrands(i2, mean_n, cov_n, v)
-            value += (h / 6.0) * (c0 + 4.0 * cm + c1)
-            norm_sq += (h / 6.0) * (r0 + 4.0 * rm + r1)
-            if record:
-                mean_path[:, i1] = mean_mid
-                cov_path[:, i1] = cov_mid
-                mean_path[:, i2] = mean_n
-                cov_path[:, i2] = cov_n
-            mean, cov, dm0, dC0, c0, r0 = mean_n, cov_n, dm1, dC1, c1, r1
-        value += (np.einsum("ij,bji->b", ta.G, cov)
-                  + np.einsum("bi,ij,bj->b", mean, ta.Gsum, mean))
-        if record:
-            return value, norm_sq, mean_path, cov_path
-        return value, norm_sq, None, None
+        ta, times = self.ta, self.times
+        (B, K, _), n = v.shape, ta.n
+        h = np.diff(times[::2])
+        Mz, Gz, Eu = _mean_system(ta, self.mean_gain, v)
+        z0 = np.append(np.asarray(x0, dtype=float).reshape(n), 1.0)
+        z, zs = _march([Mz[:, s] for s in _STAGES], None, h,
+                       np.tile(z0[:, None], (B, 1, 1)))
+        # the diffusion mean at the mean's stages forces the covariance
+        g = [_outer(Gz[:, s] @ y) for s, y in zip(_STAGES, zs)]
+        L = _vec_op(self.F, self.F, self.Gm, self.Gm)
+        cov = _march([L[:, s] for s in _STAGES], g, h,
+                     np.zeros((B, n * n, 1)))
+        cov = _fill(cov, L[:, ::2] @ cov + _outer(Gz[:, ::2] @ z), h)
+        z = _fill(z, Mz[:, ::2] @ z, h)
+        mean, cov = z[..., :n, 0], _sym(cov.reshape(B, K, n, n))
+        eu = (Eu @ z)[..., 0]
+        cost = (np.einsum("...ij,...ji->...", self.W, cov)
+                + np.einsum("bki,kij,bkj->bk", mean, ta.Qsum, mean)
+                + 2.0 * np.einsum("bkm,kmn,bkn->bk", eu, ta.Ssum, mean)
+                + np.einsum("...m,...mr,...r->...", eu, self.Rsum, eu))
+        nrm = (np.einsum("...ij,...ji->...", self.gg, cov)
+               + np.einsum("bkm,bkm->bk", eu, eu))
+        # row by row, so a row's sums do not depend on the batch size
+        w = _simpson_weights(times)
+        value = (np.sum(cost * w, axis=1)
+                 + np.einsum("ij,bji->b", ta.G, cov[:, -1])
+                 + np.einsum("bi,ij,bj->b", mean[:, -1], ta.Gsum,
+                             mean[:, -1]))
+        norm_sq = np.sum(nrm * w, axis=1)
+        return (value, norm_sq) + ((mean, cov) if record else (None, None))
 
     def form(self, v: np.ndarray) -> np.ndarray:
         """The functional as a quadratic form in (x0, offset weights).
@@ -285,14 +244,13 @@ class _MomentEngine:
         v holds d offset paths, shape (d, K, m).  Returns the symmetric
         (n+d) x (n+d) matrix H with J(x0; sum_a c_a v_a) = z' H z for
         z = (x0, c), the control being this engine's law plus the
-        combined offset.  The mean is linear in z: one forward sweep
+        combined offset.  The mean is linear in z: one forward march
         of its n x (n+d) response.  The covariance enters the cost
         only through g = Csum m + Dsum E[u], because tr(G Sigma(T)) +
         int tr(W Sigma) = int g' Lam g along the backward Lyapunov
-        flow -Lam' = F' Lam + Lam F + Gm' Lam Gm + W, Lam(T) = G.
-        Both sweeps take ``run``'s samples, RK4 stages and Hermite
-        midpoints; the cost is one Simpson-weighted contraction over
-        the partition.
+        flow -Lam' = F' Lam + Lam F + Gm' Lam Gm + W, Lam(T) = G, a
+        march in vec form.  Both take ``run``'s steps and samples; the
+        cost is one Simpson-weighted contraction over the partition.
         """
         ta, times = self.ta, self.times
         K, n, m, d = times.shape[0], ta.n, ta.m, v.shape[0]
@@ -301,23 +259,18 @@ class _MomentEngine:
         # E[u] = mean_gain m + U z: U picks the offset weights out of z
         U = np.zeros((K, m, n + d))
         U[:, :, n:] = np.transpose(v, (1, 2, 0))
-        drift = ta.Asum + ta.Bsum @ mean_gain
-        push = ta.Bsum @ U
-        Phi = _sweep(times, np.eye(n, n + d),
-                     lambda k, P: drift[k] @ P + push[k])
-
-        def lyapunov(k, L):
-            LF = L @ F[k]
-            return -(LF + LF.T + Gm[k].T @ L @ Gm[k] + W[k])
-
-        Lam = _sweep(times, ta.G, lyapunov, backward=True)
+        Phi = _linear_path(times, ta.Asum + ta.Bsum @ mean_gain, ta.Bsum @ U,
+                           np.eye(n, n + d))
+        Lam = _linear_path(times, -_vec_op(_T(F), _T(F), _T(Gm), _T(Gm)),
+                           -W.reshape(K, n * n, 1), ta.G.reshape(n * n, 1),
+                           backward=True).reshape(K, n, n)
         Eu = mean_gain @ Phi + U
         g = ta.Csum @ Phi + ta.Dsum @ Eu
         Y = np.concatenate((Phi, Eu), axis=1)
         cost = np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, self.Rsum[0]]])
         w = _simpson_weights(times)[:, None, None]
-        H = (np.tensordot(Y, w * (cost @ Y), ((0, 1),) * 2)
-             + np.tensordot(g, w * (Lam @ g), ((0, 1),) * 2)
+        H = (np.tensordot(Y, (w * cost) @ Y, ((0, 1),) * 2)
+             + np.tensordot(g, (w * Lam) @ g, ((0, 1),) * 2)
              + Phi[-1].T @ ta.Gsum @ Phi[-1])
         return _sym(H)
 
@@ -333,31 +286,108 @@ def _simpson_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sweep(times: np.ndarray, y0: np.ndarray, rhs, backward: bool = False):
-    """Samples of y' = rhs(k, y) at every time of a law's partition.
+# -- the linear marcher ---------------------------------------------------
 
-    One RK4 step per segment (boundaries at even indices), its middle
-    stages at the midpoint sample; the midpoint value is the Hermite
-    interpolant of the step's end values and slopes.  ``y0`` is the
-    value at the first time, or at the last when ``backward``.
-    """
-    K = times.shape[0]
-    path = np.empty((K,) + y0.shape)
-    first, last, step = (K - 1, 0, -2) if backward else (0, K - 1, 2)
-    y = path[first] = y0
-    f = rhs(first, y)
-    for i0 in range(first, last, step):
-        i1, i2 = i0 + step // 2, i0 + step
-        h = times[i2] - times[i0]
-        k2 = rhs(i1, y + (0.5 * h) * f)
-        k3 = rhs(i1, y + (0.5 * h) * k2)
-        k4 = rhs(i2, y + h * k3)
-        y_n = y + (h / 6.0) * (f + 2.0 * (k2 + k3) + k4)
-        f_n = rhs(i2, y_n)
-        path[i1] = hermite_midpoint(y, y_n, f, f_n, h)
-        path[i2] = y = y_n
-        f = f_n
+# RK4's stages after the first: offset in steps and weight
+_RK4 = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
+# a partition's samples at its segments' four RK4 stages
+_STAGES = (slice(0, -1, 2), slice(1, None, 2), slice(1, None, 2),
+           slice(2, None, 2))
+
+
+def _march(M, c, h, y0):
+    """Boundary values, (..., S + 1, p, q), of a linear system y' = M y
+    + c by one RK4 step per segment.
+
+    M holds the four stage operators of every segment (at its start,
+    twice at its midpoint, at its end), each (..., S, p, p); c the four
+    stage forcings, each (..., S, p, q); h the S signed widths; y0 the
+    first value.  Every step is first composed, in a few stacked
+    products, into its affine map y -> Phi y + psi, so the march proper
+    makes one small product per segment.  A homogeneous system (c None)
+    also returns its four stage values, each (..., S, p, q)."""
+    h = h[:, None, None]
+    eye = np.eye(M[0].shape[-1])
+    # stage j's map X_j = I + a_j h K_{j-1}, with K_1 = M1 and K_j =
+    # M_j X_j; Phi = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4), summed in place
+    X, K, Phi = [], M[0], M[0].copy()
+    for Mj, (a, wt) in zip(M[1:], _RK4):
+        X.append(eye + (a * h) * K)
+        K = Mj @ X[-1]
+        Phi += wt * K
+    Phi *= h / 6.0
+    Phi += eye
+    # the march writes each value in place: no allocation per segment
+    y = np.empty((len(h) + 1,) + y0.shape)
+    y[0] = y0
+    if c is None:
+        for P, cur, nxt in zip(np.moveaxis(Phi, -3, 0), y, y[1:]):
+            np.matmul(P, cur, out=nxt)
+        y = np.moveaxis(y, 0, -3)
+        start = y[..., :-1, :, :]
+        return y, [start] + [Xj @ start for Xj in X]
+    # psi by the same recursion on the forcings
+    k, psi = c[0], c[0].copy()
+    for Mj, cj, (a, wt) in zip(M[1:], c[1:], _RK4):
+        k = Mj @ ((a * h) * k) + cj
+        psi += wt * k
+    psi *= h / 6.0
+    for P, q, cur, nxt in zip(np.moveaxis(Phi, -3, 0),
+                              np.moveaxis(psi, -3, 0), y, y[1:]):
+        np.add(np.matmul(P, cur, out=nxt), q, out=nxt)
+    return np.moveaxis(y, 0, -3)
+
+
+def _fill(y, f, h):
+    """A march's samples: its boundary values y, (..., S + 1, p, q), at
+    even indices, Hermite midpoints from boundary slopes f at odd."""
+    path = np.empty(y.shape[:-3] + (2 * len(h) + 1,) + y.shape[-2:])
+    path[..., ::2, :, :] = y
+    path[..., 1::2, :, :] = hermite_midpoint(
+        y[..., :-1, :, :], y[..., 1:, :, :], f[..., :-1, :, :],
+        f[..., 1:, :, :], h[:, None, None])
     return path
+
+
+def _linear_path(times, M, c, y0, backward: bool = False):
+    """Samples of y' = M y + c at every time of a law's partition, for
+    M and c sampled there, (K, p, p) and (K, p, q).  ``y0`` is the
+    value at the first time, or at the last when ``backward``."""
+    if backward:
+        times, M, c = times[::-1], M[::-1], c[::-1]
+    h = np.diff(times[::2])
+    y = _march([M[s] for s in _STAGES], [c[s] for s in _STAGES], h, y0)
+    path = _fill(y, M[::2] @ y + c[::2], h)
+    return path[::-1] if backward else path
+
+
+def _mean_system(ta: _TimeArrays, mean_gain, v):
+    """The mean flow in z = (m, 1) at every sample, z' = Mz z, and the
+    control and diffusion means E[u] = Eu z and g = Gz z, for gains
+    mean_gain (..., K, m, n) and offsets v (..., K, m)."""
+    n = ta.n
+    Eu = np.concatenate((np.broadcast_to(mean_gain, v.shape + (n,)),
+                         v[..., None]), axis=-1)
+    Gz = ta.Dsum @ Eu
+    Gz[..., :n] += ta.Csum
+    Mz = np.zeros(Eu.shape[:-2] + (n + 1, n + 1))
+    Mz[..., :n, :] = ta.Bsum @ Eu
+    Mz[..., :n, :n] += ta.Asum
+    return Mz, Gz, Eu
+
+
+def _vec_op(FL, FR, GL, GR):
+    """Z -> FL Z + Z FR' + GL Z GR' on row-major vec Z, as a matrix."""
+    eye = np.eye(FL.shape[-1])
+    op = FL[..., :, None, :, None] * eye[:, None, :]
+    op += eye[:, None, :, None] * FR[..., None, :, None, :]
+    op += GL[..., :, None, :, None] * GR[..., None, :, None, :]
+    return op.reshape(op.shape[:-4] + (op.shape[-4] * op.shape[-3],) * 2)
+
+
+def _outer(g):
+    """Row-major vec of g g' for stacked columns g, (..., n, 1)."""
+    return (g * _T(g)).reshape(g.shape[:-2] + (-1, 1))
 
 
 def _as_control_law(law) -> ControlLaw:
@@ -500,20 +530,17 @@ def _open_loop_gradient(eng: _MomentEngine, cl: ControlLaw,
     Dsum' Lam g + Ssum m + Rsum E[u], and a deterministic bump b moves
     the functional by 2 int <E[rho], b> to first order.
     """
-    ta, times = eng.ta, cl.times
+    ta, times, n = eng.ta, cl.times, eng.ta.n
     F, Gm = eng.F[0], eng.Gm[0]
-    AT, CT, AsT = _T(ta.A), _T(ta.C), _T(ta.Asum)
-    forcing = ta.Q + _T(ta.S) @ cl.gain
-
-    def fluctuation(k, L):
-        return -(L @ F[k] + AT[k] @ L + CT[k] @ L @ Gm[k] + forcing[k])
-
-    Lam = _sweep(times, ta.G, fluctuation, backward=True)
+    forcing = -(ta.Q + _T(ta.S) @ cl.gain).reshape(-1, n * n, 1)
+    Lam = _linear_path(times, -_vec_op(_T(ta.A), _T(F), _T(ta.C), _T(Gm)),
+                       forcing, ta.G.reshape(n * n, 1),
+                       backward=True).reshape(-1, n, n)
     eu = _mv(cl.mean_gain, mean) + cl.offset
     Lg = _mv(Lam, _mv(ta.Csum, mean) + _mv(ta.Dsum, eu))
     drive = _mv(ta.Qsum, mean) + _mv(_T(ta.Ssum), eu) + _mv(_T(ta.Csum), Lg)
-    lam = _sweep(times, ta.Gsum @ mean[-1],
-                 lambda k, l: -(AsT[k] @ l + drive[k]), backward=True)
+    lam = _linear_path(times, -_T(ta.Asum), -drive[..., None],
+                       (ta.Gsum @ mean[-1])[:, None], backward=True)[..., 0]
     return (_mv(_T(ta.Bsum), lam) + _mv(_T(ta.Dsum), Lg)
             + _mv(ta.Ssum, mean) + _mv(ta.Rsum, eu))
 

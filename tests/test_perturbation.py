@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from mflqg._integrate import _mv, _T, _TimeArrays
 from mflqg.model import TimeGrid, embed_perturbation
-from mflqg.perturbation import (EpsSchedule, build_eps_iterate,
+from mflqg.perturbation import (EpsSchedule, _chain_distances, _law_parts,
+                                _sample, _stage_times, build_eps_iterate,
                                 classify_family, control_distance,
                                 write_family_csv)
 from mflqg.riccati import (RegularityError, solve_game_riccati,
@@ -254,3 +256,108 @@ def test_control_distance_matches_shared_noise_simulation():
     # of this run's standard error
     stderr = acc.std(ddof=1) / np.sqrt(paths)
     assert abs(acc.mean() - d ** 2) <= 4.0 * stderr
+
+
+def _oracle_chain_distances(spec, laws, x):
+    """The distance march as two RK4 half-steps per segment, one rhs
+    call per stage, with Simpson's rule over the half-step boundaries."""
+    E = len(laws)
+    x0 = np.asarray(x, dtype=float).reshape(spec.n)
+    bounds = laws[0][0][::2]
+    for law in laws[1:]:
+        bounds = np.union1d(bounds, law[0][::2])
+    ts = _stage_times(bounds)
+    S = ts.shape[0]
+    ta = _TimeArrays(spec, ts.ravel())
+
+    def coef(arr):
+        return arr.reshape((S, 7, 1) + arr.shape[1:])
+
+    As, Bs, Cs, Ds = (coef(ta.Asum), coef(ta.Bsum), coef(ta.Csum),
+                      coef(ta.Dsum))
+    gain, mean_gain, offset = (
+        np.stack([_sample(law[0], law[i], ts) for law in laws], axis=2)
+        for i in (1, 2, 3))
+    F = coef(ta.A) + coef(ta.B) @ gain
+    Gm = coef(ta.C) + coef(ta.D) @ gain
+    lo, hi = np.r_[0:E, 0:E - 1], np.r_[0:E, 1:E]
+    FL, FR = F[:, :, lo], _T(F[:, :, hi])
+    GL, GR = Gm[:, :, lo], _T(Gm[:, :, hi])
+    gg = _T(gain[:, :, lo]) @ gain[:, :, hi]
+
+    def rhs(k, j, state):
+        m, Z = state
+        eu = _mv(mean_gain[k, j], m) + offset[k, j]
+        s = _mv(Cs[k, j], m) + _mv(Ds[k, j], eu)
+        dm = _mv(As[k, j], m) + _mv(Bs[k, j], eu)
+        dZ = (FL[k, j] @ Z + Z @ FR[k, j] + GL[k, j] @ Z @ GR[k, j]
+              + s[lo][:, :, None] * s[hi][:, None, :])
+        return dm, dZ
+
+    def gap_sq(k, j, state):
+        m, Z = state
+        eu = _mv(mean_gain[k, j], m) + offset[k, j]
+        tr = np.trace(gg[k, j, :E] @ Z[:E], axis1=-2, axis2=-1)
+        cross = np.einsum("eij,eij->e", gg[k, j, E:], Z[E:])
+        mean = eu[:-1] - eu[1:]
+        return (tr[:-1] + tr[1:] - 2.0 * cross
+                + np.einsum("ei,ei->e", mean, mean))
+
+    def axpy(a, xs, ys):
+        return tuple(y + a * x for x, y in zip(xs, ys))
+
+    def rk4(k, j, h, state, f0):
+        k2 = rhs(k, j + 1, axpy(0.5 * h, f0, state))
+        k3 = rhs(k, j + 1, axpy(0.5 * h, k2, state))
+        k4 = rhs(k, j + 2, axpy(h, k3, state))
+        step = tuple((a + 2.0 * b + 2.0 * c + d) / 6.0
+                     for a, b, c, d in zip(f0, k2, k3, k4))
+        return axpy(h, step, state)
+
+    state = (np.tile(x0, (E, 1)), np.zeros((2 * E - 1, spec.n, spec.n)))
+    total = np.zeros(E - 1)
+    f = rhs(0, 0, state)
+    g0 = gap_sq(0, 0, state)
+    for k in range(S):
+        h = bounds[k + 1] - bounds[k]
+        s_mid = rk4(k, 0, 0.5 * h, state, f)
+        f_mid = rhs(k, 3, s_mid)
+        m_end, Z_end = rk4(k, 3, 0.5 * h, s_mid, f_mid)
+        gm = gap_sq(k, 3, s_mid)
+        state = (m_end, np.concatenate((0.5 * (Z_end[:E] + _T(Z_end[:E])),
+                                        Z_end[E:])))
+        f = rhs(k, 6, state)
+        g1 = gap_sq(k, 6, state)
+        total += h / 6.0 * (g0 + 4.0 * gm + g1)
+        g0 = g1
+    return np.sqrt(np.maximum(total, 0.0))
+
+
+@pytest.mark.parametrize("make, sched, x", [
+    (make_example61, EpsSchedule(), 1.3),
+    (make_example52, EpsSchedule(0.1024, 0.5, 11), 1.0),
+], ids=["ex61", "ex52"])
+def test_distance_march_matches_loop_oracle(make, sched, x):
+    # every consecutive distance of a ladder; measured <= 1.7e-14 relative
+    spec = make()
+    rep = classify_family(spec, sched, [x], TimeGrid(1.0, 250), verify=False)
+    laws = [_law_parts(it) for it in rep.iterates]
+    ref = _oracle_chain_distances(spec, laws, [x])
+    assert np.all(ref > 0)
+    np.testing.assert_allclose(_chain_distances(spec, laws, [x]), ref,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_control_distance_across_grids_matches_loop_oracle():
+    # two laws of a noisy game on grids of 100 and 150 intervals: the
+    # march runs on the union of their segment boundaries
+    rng = np.random.default_rng(13)
+    spec, x, P, Pi = draw_regular(rng, TimeGrid(1.0, 100))
+    shifted = embed_perturbation(spec, 0.3)
+    a = build_feedback(spec, P, Pi)
+    b = build_feedback(shifted, *solve_riccati_pair(shifted,
+                                                    TimeGrid(1.0, 150)))
+    bounds = np.union1d(a.times[::2], b.times[::2])
+    assert bounds.shape[0] > max(a.times.shape[0], b.times.shape[0]) // 2 + 1
+    ref = _oracle_chain_distances(spec, [_law_parts(a), _law_parts(b)], x)[0]
+    assert control_distance(spec, a, b, x) == pytest.approx(ref, rel=1e-12)

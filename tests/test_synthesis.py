@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from mflqg.model import (CoefficientPath, ControlLaw, GameSpec, TimeGrid,
-                         embed_perturbation)
-from mflqg.riccati import solve_riccati_pair
-from mflqg.synthesis import (_direction_shapes, build_feedback,
+from mflqg._integrate import _mv, _sym, _T, _TimeArrays, hermite_midpoint
+from mflqg.model import (DEFAULT_DELTA, CoefficientPath, ControlLaw,
+                         GameSpec, TimeGrid, embed_perturbation)
+from mflqg.perturbation import EpsSchedule
+from mflqg.riccati import (DEFAULT_RTOL, RegularityError, _eps_shift,
+                           _solve_pairs, solve_riccati_pair)
+from mflqg.synthesis import (_direction_shapes, _feedback_fields,
+                             _MomentEngine, _open_loop_gradient,
+                             _simpson_weights, build_feedback,
                              evaluate_functional, evaluate_functional_mc,
                              propagate_moments, stationarity_residual,
                              verify_saddle, write_feedback_csv,
@@ -318,6 +323,207 @@ def test_verify_saddle_matches_doubled_game_oracle(case):
     # beyond second order in h: the gap must shrink with the step (or,
     # on one grid, be roundoff)
     assert gaps[-1] <= max(gaps[0] / 3.0, 1e-13)
+
+
+# ------------------------------------- the linear march by an oracle
+#
+# The per-segment loops the marcher replaced: one RK4 step per segment
+# through the moment rhs (``run``), and the generic sweep of ``form``
+# and ``_open_loop_gradient``.  Measured against them, as |a - b| /
+# (1 + |b|): <= 1.1e-14 everywhere, except the values of ex61's ladder
+# from x = 1.3, whose smallest rungs (values down to -2.8e4) differ by
+# <= 2.2e-11.  There the value is the gap between a running and a
+# terminal cost each about 1/eps times larger (1.6e4 on the smallest
+# rung), so both routes carry roundoff of that size.
+
+def _oracle_rhs(eng, idx, mean, cov, v):
+    ta = eng.ta
+    eu = _mv(eng.mean_gain[:, idx], mean) + v[:, idx]
+    dm = (np.einsum("ij,bj->bi", ta.Asum[idx], mean)
+          + np.einsum("im,bm->bi", ta.Bsum[idx], eu))
+    g = (np.einsum("ij,bj->bi", ta.Csum[idx], mean)
+         + np.einsum("im,bm->bi", ta.Dsum[idx], eu))
+    FL = eng.F[:, idx] @ cov
+    Gm = eng.Gm[:, idx]
+    dC = FL + _T(FL) + Gm @ cov @ _T(Gm) + g[:, :, None] * g[:, None, :]
+    return dm, dC
+
+
+def _oracle_integrands(eng, idx, mean, cov, v):
+    ta = eng.ta
+    eu = _mv(eng.mean_gain[:, idx], mean) + v[:, idx]
+    c = (np.einsum("...ij,...ji->...", eng.W[:, idx], cov)
+         + np.einsum("bi,ij,bj->b", mean, ta.Qsum[idx], mean)
+         + 2.0 * np.einsum("bm,mn,bn->b", eu, ta.Ssum[idx], mean)
+         + np.einsum("...m,...mk,...k->...", eu, eng.Rsum[:, idx], eu))
+    nrm = (np.einsum("...ij,...ji->...", eng.gg[:, idx], cov)
+           + np.einsum("bm,bm->b", eu, eu))
+    return c, nrm
+
+
+def _oracle_run(eng, x0, v):
+    """``_MomentEngine.run`` as one RK4 step per segment, recording."""
+    ta, times = eng.ta, eng.times
+    K, B, n = times.shape[0], v.shape[0], ta.n
+    mean = np.tile(np.asarray(x0, dtype=float).reshape(n), (B, 1))
+    cov = np.zeros((B, n, n))
+    value, norm_sq = np.zeros(B), np.zeros(B)
+    mean_path, cov_path = np.empty((B, K, n)), np.empty((B, K, n, n))
+    mean_path[:, 0], cov_path[:, 0] = mean, cov
+    dm0, dC0 = _oracle_rhs(eng, 0, mean, cov, v)
+    c0, r0 = _oracle_integrands(eng, 0, mean, cov, v)
+    for j in range(0, K - 2, 2):
+        i1, i2 = j + 1, j + 2
+        h = times[i2] - times[j]
+        k2m, k2C = _oracle_rhs(eng, i1, mean + 0.5 * h * dm0,
+                               cov + 0.5 * h * dC0, v)
+        k3m, k3C = _oracle_rhs(eng, i1, mean + 0.5 * h * k2m,
+                               cov + 0.5 * h * k2C, v)
+        k4m, k4C = _oracle_rhs(eng, i2, mean + h * k3m, cov + h * k3C, v)
+        mean_n = mean + (h / 6.0) * (dm0 + 2.0 * (k2m + k3m) + k4m)
+        cov_n = _sym(cov + (h / 6.0) * (dC0 + 2.0 * (k2C + k3C) + k4C))
+        dm1, dC1 = _oracle_rhs(eng, i2, mean_n, cov_n, v)
+        mean_mid = hermite_midpoint(mean, mean_n, dm0, dm1, h)
+        cov_mid = _sym(hermite_midpoint(cov, cov_n, dC0, dC1, h))
+        cm, rm = _oracle_integrands(eng, i1, mean_mid, cov_mid, v)
+        c1, r1 = _oracle_integrands(eng, i2, mean_n, cov_n, v)
+        value += (h / 6.0) * (c0 + 4.0 * cm + c1)
+        norm_sq += (h / 6.0) * (r0 + 4.0 * rm + r1)
+        mean_path[:, i1], cov_path[:, i1] = mean_mid, cov_mid
+        mean_path[:, i2], cov_path[:, i2] = mean_n, cov_n
+        mean, cov, dm0, dC0, c0, r0 = mean_n, cov_n, dm1, dC1, c1, r1
+    value += (np.einsum("ij,bji->b", ta.G, cov)
+              + np.einsum("bi,ij,bj->b", mean, ta.Gsum, mean))
+    return value, norm_sq, mean_path, cov_path
+
+
+def _oracle_sweep(times, y0, rhs, backward=False):
+    """Samples of y' = rhs(k, y), one RK4 step per segment."""
+    K = times.shape[0]
+    path = np.empty((K,) + y0.shape)
+    first, last, step = (K - 1, 0, -2) if backward else (0, K - 1, 2)
+    y = path[first] = y0
+    f = rhs(first, y)
+    for i0 in range(first, last, step):
+        i1, i2 = i0 + step // 2, i0 + step
+        h = times[i2] - times[i0]
+        k2 = rhs(i1, y + (0.5 * h) * f)
+        k3 = rhs(i1, y + (0.5 * h) * k2)
+        k4 = rhs(i2, y + h * k3)
+        y_n = y + (h / 6.0) * (f + 2.0 * (k2 + k3) + k4)
+        f_n = rhs(i2, y_n)
+        path[i1] = hermite_midpoint(y, y_n, f, f_n, h)
+        path[i2] = y = y_n
+        f = f_n
+    return path
+
+
+def _oracle_form(eng, v):
+    ta, times = eng.ta, eng.times
+    K, n, m, d = times.shape[0], ta.n, ta.m, v.shape[0]
+    F, Gm, W, mean_gain = (a[0] for a in (eng.F, eng.Gm, eng.W,
+                                          eng.mean_gain))
+    U = np.zeros((K, m, n + d))
+    U[:, :, n:] = np.transpose(v, (1, 2, 0))
+    drift, push = ta.Asum + ta.Bsum @ mean_gain, ta.Bsum @ U
+    Phi = _oracle_sweep(times, np.eye(n, n + d),
+                        lambda k, P: drift[k] @ P + push[k])
+
+    def lyapunov(k, L):
+        LF = L @ F[k]
+        return -(LF + LF.T + Gm[k].T @ L @ Gm[k] + W[k])
+
+    Lam = _oracle_sweep(times, ta.G, lyapunov, backward=True)
+    Eu = mean_gain @ Phi + U
+    g = ta.Csum @ Phi + ta.Dsum @ Eu
+    Y = np.concatenate((Phi, Eu), axis=1)
+    cost = np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, eng.Rsum[0]]])
+    w = _simpson_weights(times)[:, None, None]
+    return _sym(np.tensordot(Y, w * (cost @ Y), ((0, 1),) * 2)
+                + np.tensordot(g, w * (Lam @ g), ((0, 1),) * 2)
+                + Phi[-1].T @ ta.Gsum @ Phi[-1])
+
+
+def _oracle_gradient(eng, cl, mean):
+    ta, times = eng.ta, cl.times
+    F, Gm = eng.F[0], eng.Gm[0]
+    AT, CT, AsT = _T(ta.A), _T(ta.C), _T(ta.Asum)
+    forcing = ta.Q + _T(ta.S) @ cl.gain
+    Lam = _oracle_sweep(times, ta.G, lambda k, L: -(
+        L @ F[k] + AT[k] @ L + CT[k] @ L @ Gm[k] + forcing[k]),
+        backward=True)
+    eu = _mv(cl.mean_gain, mean) + cl.offset
+    Lg = _mv(Lam, _mv(ta.Csum, mean) + _mv(ta.Dsum, eu))
+    drive = _mv(ta.Qsum, mean) + _mv(_T(ta.Ssum), eu) + _mv(_T(ta.Csum), Lg)
+    lam = _oracle_sweep(times, ta.Gsum @ mean[-1],
+                        lambda k, l: -(AsT[k] @ l + drive[k]), backward=True)
+    return (_mv(_T(ta.Bsum), lam) + _mv(_T(ta.Dsum), Lg)
+            + _mv(ta.Ssum, mean) + _mv(ta.Rsum, eu))
+
+
+def _assert_close(ours, ref, tol=1e-12):
+    assert np.all(np.abs(ours - ref) <= tol * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("make, sched, x", [
+    (make_example61, EpsSchedule(), 1.3),
+    (make_example61, EpsSchedule(), 0.0),
+    (make_example52, EpsSchedule(0.1024, 0.5, 11), 1.0),
+], ids=["ex61 x=1.3", "ex61 x=0", "ex52"])
+def test_ladder_moment_march_matches_loop_oracle(make, sched, x):
+    # the ladder's engine: one law per rung on the shared partition
+    spec = make()
+    pairs = _solve_pairs(spec, TimeGrid(1.0, 250), sched.values,
+                         DEFAULT_DELTA, DEFAULT_RTOL)
+    times = pairs[0][0].times
+    shift = _eps_shift(spec, sched.values)
+    ta = _TimeArrays(spec, times)
+    fields = [_feedback_fields(ta, P.values_fine, Pi.values_fine, shift[e])
+              for e, (P, Pi) in enumerate(pairs)]
+    eng = _MomentEngine(spec, times, np.stack([f["gain"] for f in fields]),
+                        np.stack([f["mean_gain"] for f in fields]),
+                        arrays=ta, shift=shift)
+    v = np.zeros((sched.count, times.shape[0], spec.m))
+    ours, ref = eng.run([x], v, record=True), _oracle_run(eng, [x], v)
+    _assert_close(ours[0], ref[0], 1e-10 if x else 1e-12)
+    for a, b in zip(ours[1:], ref[1:]):
+        _assert_close(a, b)
+
+
+def _noisy_varying(n):
+    """A solvable embedded random game with n states whose drift or
+    control coefficient varies in time (every random game is noisy)."""
+    rng = np.random.default_rng(5)
+    while True:
+        spec = embed_perturbation(random_instance(rng), 0.5)
+        x = rng.standard_normal(spec.n)
+        co = spec.coefficients
+        if spec.n != n or co.A.kind == co.B1.kind == "constant":
+            continue
+        try:
+            return spec, x, solve_riccati_pair(spec, TimeGrid(1.0, 200))
+        except RegularityError:
+            continue
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("off", [0.0, 0.4], ids=["feedback", "offset"])
+def test_moment_march_matches_loop_oracle_on_random_games(n, off):
+    spec, x, (P, Pi) = _noisy_varying(n)
+    law = build_feedback(spec, P, Pi)
+    offset = off * np.cos(3.0 * law.times)[:, None] * np.ones(spec.m)
+    cl = ControlLaw(times=law.times, gain=law.gain,
+                    mean_gain=law.mean_gain, offset=offset)
+    eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
+    ours, ref = eng.run(x, offset[None], record=True), _oracle_run(
+        eng, x, offset[None])
+    for a, b in zip(ours, ref):
+        _assert_close(a, b)
+    v = np.random.default_rng(n).standard_normal((5, cl.times.shape[0],
+                                                  spec.m))
+    _assert_close(eng.form(v), _oracle_form(eng, v))
+    _assert_close(_open_loop_gradient(eng, cl, ours[2][0]),
+                  _oracle_gradient(eng, cl, ref[2][0]))
 
 
 # ---------------------------------------------------------------- csv
