@@ -7,13 +7,15 @@ or initial layers of width comparable to the perturbation parameter;
 a fixed step cannot resolve those while the output grid stays the
 user's contract.  Each grid interval is integrated by classical RK4
 and accepted only when a step-doubling comparison agrees to a relative
-tolerance; otherwise the interval is split recursively.  The accepted
-value of a segment is the two-half-step result, and the half-step
-value at the segment midpoint is recorded, so the returned path always
-alternates segment boundaries (even indices) and midpoints (odd
-indices).  The state's leading axis holds independent rungs (the
-neighbours of an eps-ladder, or a single solve) integrated on one
-shared partition.
+tolerance; otherwise the interval is split in halves, down to a
+fixed depth.  The accepted value of a segment is the two-half-step
+result, and the half-step value at the segment midpoint is recorded,
+so the returned path always alternates segment boundaries (even
+indices) and midpoints (odd indices).  Every stored value is
+symmetrized, and each rung's worst skew before symmetrization is
+returned with the path.  The state's leading axis holds independent
+rungs (the neighbours of an eps-ladder, or a single solve) integrated
+on one shared partition.
 
 Coefficients are sampled by ``_TimeArrays``, one vectorized
 ``CoefficientPath.sample`` call per path.  The integrator's rhs reads
@@ -21,7 +23,8 @@ them one time at a time from a ``CoefficientCache`` of rows in the
 solver's own view, filled in one batch at ``stage_times(grid)``: keys
 formed with the integrator's own expressions t0 + 0.5*h and t0 + h,
 not taken from ``grid.half_times``, whose midpoints can differ in the
-last ulp.  A state has at least two axes: rungs, then matrices.
+last ulp.  A state has at least two axes: rungs, then matrices, square
+in the last two axes.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ _MAX_GROWTH = 1e8
 # steps and would never reach the next node; legitimate layers (the
 # eps-ladders, escapes before they are detected) take a few hundred.
 _MAX_SEGMENTS = 4096
+
+# Halvings of one grid interval before a failing doubling test is fatal.
+_MAX_DEPTH = 40
+
+# Rows a CoefficientCache keeps before it starts over.
+_MAX_MEMO = 1 << 18
 
 
 class IntegrationError(RuntimeError):
@@ -155,11 +164,10 @@ class CoefficientCache:
     alone; a constant spec has one row.
     """
 
-    def __init__(self, spec: GameSpec, view, max_entries: int = 1 << 18):
+    def __init__(self, spec: GameSpec, view):
         self.spec = spec
         self.view = view
         self._memo: dict[float, tuple] = {}
-        self._max = max_entries
         self.constant = all(
             getattr(p, "kind", "constant") == "constant" for p in
             (*vars(spec.coefficients).values(), *vars(spec.weights).values()))
@@ -179,7 +187,7 @@ class CoefficientCache:
         t = float(t)
         row = self._memo.get(t)
         if row is None:
-            if len(self._memo) >= self._max:
+            if len(self._memo) >= _MAX_MEMO:
                 self._memo.clear()
             row = self._memo[t] = self._row(np.array([t]))
         return row
@@ -230,8 +238,7 @@ def stage_times(grid: TimeGrid) -> np.ndarray:
 
 
 def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
-                       rtol: float = 1e-8, max_depth: int = 40,
-                       post=None):
+                       rtol: float = 1e-8):
     """Integrate dy/dt = rhs(t, y) from t = T down to t = 0.
 
     The leading axis of ``y_terminal`` indexes independent rungs that
@@ -240,17 +247,18 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
     own fast-accept and step-doubling test, and its own escape bound
     against its own terminal scale.  An interval is taken in one step
     when every rung passes its fast test, in two half-steps when every
-    rung passes its doubling test, and split otherwise.
+    rung passes its doubling test, and split in halves otherwise.
 
-    Returns (times, values, node_index): ``times`` ascend from 0 to T
-    and alternate segment boundaries (even indices) and segment
+    Returns (times, values, node_index, skew): ``times`` ascend from 0
+    to T and alternate segment boundaries (even indices) and segment
     midpoints (odd indices); ``values[j]`` approximates the rung stack
-    at ``times[j]`` to fourth order; ``node_index[k]`` locates grid
-    node k inside ``times``.  ``post`` is applied to every stored
-    value (e.g. a symmetrizer); it receives and returns an array.
+    at ``times[j]`` to fourth order, symmetrized in its trailing matrix
+    axes; ``node_index[k]`` locates grid node k inside ``times``;
+    ``skew[e]`` is the largest entry of y - y' over rung e's stored
+    values before symmetrization.
 
     Raises IntegrationError, carrying the failing rung, when an
-    interval still disagrees at ``max_depth`` subdivisions, when a
+    interval still disagrees after ``_MAX_DEPTH`` halvings, when a
     grid interval needs more than ``_MAX_SEGMENTS`` accepted segments,
     or when a rung's solution norm explodes, which is how loss of
     strong regularity inside the horizon surfaces.
@@ -258,8 +266,16 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
     nodes = grid.nodes
     y = np.asarray(y_terminal, dtype=float)
     scale0 = 1.0 + _rung_max(y)
-    if post is not None:
-        y = post(y)
+    skew = np.zeros(len(y))
+
+    def store(t, v):
+        """Record v at t, symmetrized; track each rung's skew."""
+        nonlocal skew
+        skew = np.maximum(skew, _rung_max(v - _T(v)))
+        v = _sym(v)
+        times_desc.append(t)
+        values_desc.append(v)
+        return v
 
     rhs_raw = rhs
 
@@ -274,92 +290,79 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
                 f"t = {t:.6g}", t, rung) from None
 
     # Stored in descending time order, then reversed once at the end.
-    times_desc: list[float] = [nodes[-1]]
-    values_desc: list[np.ndarray] = [y]
+    times_desc, values_desc = [], []
     node_pos_desc = [0]
+    y = store(nodes[-1], y)
+    f = rhs(nodes[-1], y)
 
-    f_at = rhs(nodes[-1], y)
+    for k in range(grid.N, 0, -1):
+        # the interval's pending segment ends, the nearest last; each
+        # segment runs from t0, the last accepted time, to the top end
+        t0 = nodes[k]
+        ends = [(nodes[k - 1], 0)]
+        while ends:
+            t1, depth = ends[-1]
+            scale = 1.0 + _rung_max(y)
+            grown = scale > _MAX_GROWTH * scale0
+            if grown.any():
+                # y is an accepted value, so this is genuine growth of
+                # the flow, not a transient of an oversized step
+                raise IntegrationError(
+                    f"solution norm exploded near t = {t0:.6g}; "
+                    "the flow is not regular on this horizon", t0,
+                    int(np.argmax(grown)))
+            h = t1 - t0
+            t_mid = t0 + 0.5 * h
+            y_full, slope, spread = _rk4_step(rhs, t0, h, y, f)
+            fast = ((abs(h) * slope / scale <= _FAST_MOVE)
+                    & (abs(h) * spread / scale <= _FAST_SPREAD)
+                    & _rung_finite(y_full))
+            if fast.all():
+                f1 = rhs(t1, y_full)
+                if _rung_finite(f1).all():
+                    # the slope at the end is taken before symmetrizing
+                    store(t_mid, hermite_midpoint(y, y_full, f, f1, h))
+                    y, f, t0 = store(t1, y_full), f1, t1
+                    ends.pop()
+                    continue
 
-    def _accept(t_mid, y_mid, t1, y_end, f_end=None):
-        """Record mid+end; without f_end the slope is taken after post."""
-        if post is not None:
-            y_mid = post(y_mid)
-            y_end = post(y_end)
-        times_desc.append(t_mid)
-        values_desc.append(y_mid)
-        times_desc.append(t1)
-        values_desc.append(y_end)
-        return y_end, (rhs(t1, y_end) if f_end is None else f_end)
+            good = np.zeros_like(fast)
+            y_half_mid, _, _ = _rk4_step(rhs, t0, 0.5 * h, y, f)
+            mid_ok = _rung_finite(y_half_mid)
+            if mid_ok.any():
+                f_mid = rhs(t_mid, y_half_mid)
+                y_half, _, _ = _rk4_step(rhs, t_mid, 0.5 * h, y_half_mid,
+                                         f_mid)
+                err = _rung_max(y_full - y_half)
+                ynorm = _rung_max(y_half)
+                good = (mid_ok & _rung_finite(y_half) & _rung_finite(y_full)
+                        & (err <= rtol * (1.0 + ynorm)))
+            if good.all():
+                store(t_mid, y_half_mid)
+                y, t0 = store(t1, y_half), t1
+                f = rhs(t1, y)
+                ends.pop()
+                continue
 
-    def _segment(t0, t1, y0, f0, depth):
-        """Integrate one accepted-or-split segment; records mid+end."""
-        scale = 1.0 + _rung_max(y0)
-        grown = scale > _MAX_GROWTH * scale0
-        if grown.any():
-            # only accepted values reach here as y0, so this is genuine
-            # growth of the flow, not a transient of an oversized step
-            raise IntegrationError(
-                f"solution norm exploded near t = {t0:.6g}; "
-                "the flow is not regular on this horizon", t0,
-                int(np.argmax(grown)))
-        h = t1 - t0
-        y_full, slope, spread = _rk4_step(rhs, t0, h, y0, f0)
-        fast = ((abs(h) * slope / scale <= _FAST_MOVE)
-                & (abs(h) * spread / scale <= _FAST_SPREAD)
-                & _rung_finite(y_full))
-        if fast.all():
-            f1 = rhs(t1, y_full)
-            if _rung_finite(f1).all():
-                return _accept(t0 + 0.5 * h,
-                               hermite_midpoint(y0, y_full, f0, f1, h),
-                               t1, y_full, f1)
+            if depth >= _MAX_DEPTH:
+                raise IntegrationError(
+                    f"step refinement exhausted at t = {t_mid:.6g} "
+                    f"(depth {depth}); a weight block is likely singular "
+                    "there", t_mid, int(np.argmin(good)))
+            # two entries per accepted segment since the interval's start
+            if len(times_desc) - 1 - node_pos_desc[-1] >= 2 * _MAX_SEGMENTS:
+                raise IntegrationError(
+                    f"step refinement stalled at t = {t_mid:.6g} after "
+                    f"{_MAX_SEGMENTS} segments in one grid interval; the "
+                    "flow is not regular on this horizon", t_mid,
+                    int(np.argmin(good)))
+            ends[-1] = (t1, depth + 1)
+            ends.append((t_mid, depth + 1))
+        node_pos_desc.append(len(times_desc) - 1)
 
-        t_mid = t0 + 0.5 * h
-        good = np.zeros_like(fast)
-        y_half_mid, _, _ = _rk4_step(rhs, t0, 0.5 * h, y0, f0)
-        mid_ok = _rung_finite(y_half_mid)
-        if mid_ok.any():
-            f_mid = rhs(t_mid, y_half_mid)
-            y_half, _, _ = _rk4_step(rhs, t_mid, 0.5 * h, y_half_mid, f_mid)
-            err = _rung_max(y_full - y_half)
-            ynorm = _rung_max(y_half)
-            good = (mid_ok & _rung_finite(y_half) & _rung_finite(y_full)
-                    & (err <= rtol * (1.0 + ynorm)))
-        if good.all():
-            return _accept(t_mid, y_half_mid, t1, y_half)
-
-        if depth >= max_depth:
-            raise IntegrationError(
-                f"step refinement exhausted at t = {t_mid:.6g} "
-                f"(depth {depth}); a weight block is likely singular "
-                "there", t_mid, int(np.argmin(good)))
-        # two entries per accepted segment since the interval's start
-        if len(times_desc) - 1 - node_pos_desc[-1] >= 2 * _MAX_SEGMENTS:
-            raise IntegrationError(
-                f"step refinement stalled at t = {t_mid:.6g} after "
-                f"{_MAX_SEGMENTS} segments in one grid interval; the "
-                "flow is not regular on this horizon", t_mid,
-                int(np.argmin(good)))
-        y_m, f_m = _segment(t0, t_mid, y0, f0, depth + 1)
-        return _segment(t_mid, t1, y_m, f_m, depth + 1)
-
-    try:
-        for k in range(grid.N, 0, -1):
-            y, f_at = _segment(nodes[k], nodes[k - 1], y, f_at, 0)
-            node_pos_desc.append(len(times_desc) - 1)
-    finally:
-        # _segment reaches itself through its closure cell; emptying the
-        # cell breaks that cycle, so the partition lists and ``rhs``
-        # (with any coefficient memo it holds) are freed on return, not
-        # when the cyclic collector next runs
-        del _segment
-
-    times = np.array(times_desc[::-1])
-    values = np.stack(values_desc[::-1])
-    total = len(times_desc) - 1
-    node_index = np.array([total - p for p in reversed(node_pos_desc)],
-                          dtype=int)
-    return times, values, node_index
+    node_index = len(times_desc) - 1 - np.array(node_pos_desc[::-1])
+    return (np.array(times_desc[::-1]), np.stack(values_desc[::-1]),
+            node_index, skew)
 
 
 def _raises_linalg(rhs, t, y) -> bool:

@@ -141,6 +141,8 @@ def _x_from(args, spec: GameSpec) -> np.ndarray:
         vec = np.array([float(v) for v in args.x.split(",")])
     except ValueError as exc:
         raise InputError(f"--x must be comma-separated numbers: {exc}")
+    if not np.all(np.isfinite(vec)):
+        raise InputError(f"--x entries must be finite, got {args.x}")
     if vec.shape != (spec.n,):
         raise InputError(f"--x has {vec.shape[0]} entries, spec needs "
                          f"{spec.n}")
@@ -190,8 +192,13 @@ def cmd_solve(args) -> int:
     t_start = time.perf_counter()
     spec, raw, chash = _load_spec(args)
     if args.eps:
-        spec = embed_perturbation(spec, args.eps)
+        try:
+            spec = embed_perturbation(spec, args.eps)
+        except ValueError as exc:
+            raise InputError(f"--eps: {exc}") from exc
     grid = _grid_from(args, spec)
+    if args.paths < 0 or args.paths == 1:
+        raise InputError(f"--paths must be 0 or at least 2, got {args.paths}")
     x = _x_from(args, spec)
     stages: dict = {"validation": _validated(spec)}
 
@@ -270,6 +277,8 @@ def cmd_check(args) -> int:
     """Necessary-condition check on a finite operator section."""
     t_start = time.perf_counter()
     spec, raw, chash = _load_spec(args)
+    if args.blocks < 1:
+        raise InputError(f"--blocks must be at least 1, got {args.blocks}")
     grid = _grid_from(args, spec, multiple_of=args.blocks)
     section = build_section(spec, grid, args.blocks)
     sign = check_necessary_condition(section, tol=args.tol)
@@ -308,7 +317,10 @@ def cmd_perturb(args) -> int:
     spec, raw, chash = _load_spec(args)
     grid = _grid_from(args, spec)
     x = _x_from(args, spec)
-    schedule = EpsSchedule(args.eps0, args.eps_factor, args.eps_steps)
+    try:
+        schedule = EpsSchedule(args.eps0, args.eps_factor, args.eps_steps)
+    except ValueError as exc:
+        raise InputError(f"--eps0, --eps-factor, --eps-steps: {exc}") from exc
     family = classify_family(spec, schedule, x, grid, tol=args.tol)
     target = _out_path(args, "family.csv")
     if target:
@@ -371,7 +383,14 @@ def _load_candidate(path, spec: GameSpec, grid: TimeGrid) -> ControlLaw:
         raise InputError("candidate CSV needs a header with a t column")
     table = np.atleast_1d(table)
     cols = table.dtype.names
-    ts = table["t"]
+
+    def column(name):
+        if not np.all(np.isfinite(table[name])):
+            raise InputError(f"candidate CSV column {name} has a "
+                             "non-numeric or non-finite cell")
+        return table[name]
+
+    ts = column("t")
     if np.any(np.diff(ts) <= 0):
         raise InputError("candidate CSV times must increase strictly")
     m, n = spec.m, spec.n
@@ -386,7 +405,7 @@ def _load_candidate(path, spec: GameSpec, grid: TimeGrid) -> ControlLaw:
         if missing:
             raise InputError(f"candidate CSV is missing columns: "
                              f"{', '.join(missing)}")
-        flat = np.stack([np.interp(half, ts, table[nm]) for nm in names],
+        flat = np.stack([np.interp(half, ts, column(nm)) for nm in names],
                         axis=1)
         return flat.reshape((half.shape[0],) + shape)
 

@@ -303,6 +303,20 @@ class CostWeights:
         return 0
 
 
+def _block_shapes(n: int, m1: int, m2: int) -> dict:
+    """(rows, cols) of every coefficient and weight path, by name."""
+    return {
+        "A": (n, n), "Abar": (n, n), "C": (n, n), "Cbar": (n, n),
+        "B1": (n, m1), "B1bar": (n, m1), "B2": (n, m2), "B2bar": (n, m2),
+        "D1": (n, m1), "D1bar": (n, m1), "D2": (n, m2), "D2bar": (n, m2),
+        "Q": (n, n), "Qbar": (n, n),
+        "S1": (m1, n), "S1bar": (m1, n), "S2": (m2, n), "S2bar": (m2, n),
+        "R11": (m1, m1), "R11bar": (m1, m1),
+        "R12": (m1, m2), "R12bar": (m1, m2),
+        "R22": (m2, m2), "R22bar": (m2, m2),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """Complete description of one game instance."""
@@ -326,16 +340,7 @@ class GameSpec:
         CostWeights (A, Abar, B1, ..., G, Gbar, Q, ..., R22bar).  Each
         value may be an array, a CoefficientPath, or None.
         """
-        shapes = {
-            "A": (n, n), "Abar": (n, n), "C": (n, n), "Cbar": (n, n),
-            "B1": (n, m1), "B1bar": (n, m1), "B2": (n, m2), "B2bar": (n, m2),
-            "D1": (n, m1), "D1bar": (n, m1), "D2": (n, m2), "D2bar": (n, m2),
-            "Q": (n, n), "Qbar": (n, n),
-            "S1": (m1, n), "S1bar": (m1, n), "S2": (m2, n), "S2bar": (m2, n),
-            "R11": (m1, m1), "R11bar": (m1, m1),
-            "R12": (m1, m2), "R12bar": (m1, m2),
-            "R22": (m2, m2), "R22bar": (m2, m2),
-        }
+        shapes = _block_shapes(n, m1, m2)
         unknown = set(kw) - set(shapes) - {"G", "Gbar"}
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
@@ -512,24 +517,9 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
     if not (np.isfinite(T) and T > 0):
         failures.append("horizon must be positive and finite")
 
-    expected = {
-        "A": (n, n), "Abar": (n, n), "C": (n, n), "Cbar": (n, n),
-        "B1": (n, m1), "B1bar": (n, m1), "B2": (n, m2), "B2bar": (n, m2),
-        "D1": (n, m1), "D1bar": (n, m1), "D2": (n, m2), "D2bar": (n, m2),
-        "Q": (n, n), "Qbar": (n, n),
-        "S1": (m1, n), "S1bar": (m1, n), "S2": (m2, n), "S2bar": (m2, n),
-        "R11": (m1, m1), "R11bar": (m1, m1), "R12": (m1, m2),
-        "R12bar": (m1, m2), "R22": (m2, m2), "R22bar": (m2, m2),
-    }
-
-    def _paths():
-        for name in expected:
-            holder = spec.coefficients if hasattr(spec.coefficients, name) \
-                else spec.weights
-            yield name, getattr(holder, name)
-
-    for name, path in _paths():
-        want = expected[name]
+    for name, want in _block_shapes(n, m1, m2).items():
+        path = getattr(spec.coefficients if hasattr(spec.coefficients, name)
+                       else spec.weights, name)
         if (path.rows, path.cols) != want:
             failures.append(f"{name}: shape {(path.rows, path.cols)}, "
                             f"expected {want}")

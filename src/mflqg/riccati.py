@@ -11,11 +11,14 @@ Three differential Riccati equations drive the synthesis:
   mean-field) data and the already-solved P, with weights
   Sigma_bar = R + Rbar + (D+Dbar)' P (D+Dbar).
 
-All three are one Riccati map ``_slope`` of a state Y along P: Y = P
-on the plain coefficients (or one player's columns of them), Y = Pi on
-the sums A + Abar, ..., R + Rbar.  The pair (P, Pi) is that map once,
-on length-2 stacks (A, A + Abar), ..., (R, R + Rbar): one linear solve
-per evaluation for both equations and every rung.
+All three are one Riccati map of a state Y along P: Y = P on the
+plain coefficients (or one player's columns of them), Y = Pi on the
+sums A + Abar, ..., R + Rbar.  The map's weight Sigma = R + D' P D and
+linear term L = B' Y + D' P C + S (``_terms``) give the slopes, the
+regularity margins and the feedback gains -Sigma^-1 L.  The pair
+(P, Pi) is that map once, on length-2 stacks (A, A + Abar), ...,
+(R, R + Rbar): one linear solve per evaluation for both equations and
+every rung.
 
 All solvers integrate backward from the terminal weight with classical
 RK4 on the output grid, refining intervals by step doubling where the
@@ -33,8 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from ._integrate import (CoefficientCache, IntegrationError, _rung_max, _sym,
-                         _T, _TimeArrays, integrate_backward, stage_times)
+from ._integrate import (CoefficientCache, IntegrationError, _sym, _T,
+                         _TimeArrays, integrate_backward, stage_times)
 from .model import CONDITION_LIMIT, DEFAULT_DELTA, GameSpec, TimeGrid
 
 __all__ = [
@@ -186,30 +189,38 @@ class ComparisonReport:
 # the slope (as dP/dt, so the quadratic term enters with +)
 #
 # Every equation is one Riccati map of a state Y along a game solution
-# P.  A view turns a _TimeArrays into the map's coefficient arguments,
-# each with leading axis time: a CoefficientCache row is one time of a
-# view, and the solver tails take whole views.  The pair view stacks
-# the game and mean coefficients on an equation axis of length 2, just
-# before the matrix axes, so a pair state has axes (rung, equation,
-# n, n) in the rhs and (node, rung, equation, n, n) in the tails.  Its
-# "P" slot is the game entry, kept as a length-1 equation axis
-# (Y[:, :1] in the rhs) so that it broadcasts over both equations.
+# P, and ``_terms`` is the only place its weight and linear term are
+# written.  A view turns a _TimeArrays into the map's coefficient
+# arguments, each with leading axis time: a CoefficientCache row is one
+# time of a view, and the solver tail takes whole views.  A single
+# equation's view is (time, 1, ...), so its state is one rung.  The
+# pair view stacks the game and mean coefficients on an equation axis
+# of length 2, just before the matrix axes, so a pair state has axes
+# (rung, equation, n, n) in the rhs and (node, rung, equation, n, n)
+# in the tail.  The map's "P" is Y[..., :1, :, :]: the game entry of a
+# pair, kept as a length-1 equation axis so that it broadcasts over
+# both equations, and a single equation's state itself.
 # ----------------------------------------------------------------------
 
-def _slope(A, Bt, C, Dt, D, S, Q, R, Y, P):
-    """-(Y A + A' Y + C' P C + Q - L' X), L = B' Y + D' P C + S and
-    X = (R + D' P D)^-1 L."""
+def _terms(A, Bt, C, Dt, D, S, Q, R, Y, P):
+    """The map's linear term L = B' Y + D' P C + S and weight
+    Sigma = R + D' P D, as (L, Sigma)."""
     DtP = Dt @ P
-    L = Bt @ Y + DtP @ C + S
-    X = np.linalg.solve(R + DtP @ D, L)
+    return Bt @ Y + DtP @ C + S, R + DtP @ D
+
+
+def _slope(A, Bt, C, Dt, D, S, Q, R, Y, P):
+    """-(Y A + A' Y + C' P C + Q - L' Sigma^-1 L) of ``_terms``."""
+    L, Sig = _terms(A, Bt, C, Dt, D, S, Q, R, Y, P)
+    X = np.linalg.solve(Sig, L)
     YA = Y @ A
     return -(YA + _T(YA) + _T(C) @ (P @ C) + Q - _T(L) @ X)
 
 
 def _half_view(ta: _TimeArrays, half: int = 0) -> tuple:
     """The game equation's arguments (half 0) or the mean equation's,
-    from the summed coefficients (half 1)."""
-    A, B, C, D, S, Q, R = [p[half] for p in ta.pairs]
+    from the summed coefficients (half 1), as (K, 1, ...) stacks."""
+    A, B, C, D, S, Q, R = [p[half][:, None] for p in ta.pairs]
     return A, _T(B), C, _T(D), D, S, Q, R
 
 
@@ -229,13 +240,13 @@ def _pair_view(ta: _TimeArrays, shift: np.ndarray) -> tuple:
     return A, _T(B), C, _T(D), D, S, Q, R + shift[:, None]
 
 
-def _coefficient_cache(spec: GameSpec, grid: TimeGrid,
-                       view) -> CoefficientCache:
-    """The integrator's memo, filled where fast-accepted steps call rhs."""
-    cache = CoefficientCache(spec, view)
-    if not cache.constant:
-        cache.fill(_TimeArrays(spec, stage_times(grid)))
-    return cache
+def _pair_terms(ta: _TimeArrays, P: np.ndarray, Pi: np.ndarray,
+                shift: np.ndarray) -> tuple:
+    """``_terms`` of both equations along P and Pi sampled at ``ta``'s
+    times, on axes (time, rung, equation, ...); rung e's weights carry
+    shift[e] as the pair solve's do."""
+    Y = np.stack((P, Pi), axis=1)[:, None]
+    return _terms(*_pair_view(ta, shift), Y, Y[:, :, :1])
 
 
 def _eps_shift(spec: GameSpec, eps) -> np.ndarray:
@@ -271,17 +282,6 @@ def _signed_block_margins(Sig_stack: np.ndarray, m1: int):
     return mu1, mu2
 
 
-def _make_post():
-    """Symmetrizer hook that also tracks each rung's worst skew."""
-    state = {"sup": 0.0}
-
-    def post(y):
-        state["sup"] = np.maximum(state["sup"], _rung_max(y - _T(y)))
-        return _sym(y)
-
-    return post, state
-
-
 def _midpoint_index(times, node_index):
     """Fine index closest to each grid interval's midpoint."""
     i0, i1 = node_index[:-1], node_index[1:]
@@ -295,13 +295,6 @@ def _midpoint_index(times, node_index):
     return j - back.astype(int)
 
 
-def _sup_defect(node_vals, h, slope_mid):
-    """Sup over nodes (leading axis) of the Frobenius defect of node
-    differences against the midpoint slopes, per trailing stack entry."""
-    defect = (node_vals[1:] - node_vals[:-1]) / h - slope_mid
-    return np.linalg.norm(defect, axis=(-2, -1)).max(axis=0, initial=0.0)
-
-
 def _solution(grid, delta, kind, times, fine, node_index, mu1, mu2,
               residual, asym, companion=None) -> "RiccatiSolution":
     regular = bool(np.min(mu1) >= delta and np.min(mu2) >= delta)
@@ -311,6 +304,39 @@ def _solution(grid, delta, kind, times, fine, node_index, mu1, mu2,
         regularity_margin_2=mu2, residual_norm=float(residual),
         strongly_regular=regular, delta=delta, asymmetry_sup=asym,
         companion_fine=companion)
+
+
+def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
+           terminal: np.ndarray, rtol: float, weights,
+           names=("",)) -> tuple:
+    """Integrate a view's rung stack backward from ``terminal`` and
+    check it: (times, path, node_index, Sigma at the nodes ``ta_n``,
+    midpoint residuals, asymmetry sups).  ``names`` prefixes each
+    rung's breakdown message, and ``weights`` names each equation's
+    Sigma, of which a nearly singular one aborts first."""
+    # the memo, filled where fast-accepted steps call rhs
+    cache = CoefficientCache(spec, view)
+    if not cache.constant:
+        cache.fill(_TimeArrays(spec, stage_times(grid)))
+    try:
+        times, values, node_index, asym = integrate_backward(
+            lambda t, Y: _slope(*cache.at(t), Y, Y[..., :1, :, :]), grid,
+            terminal, rtol=rtol)
+    except IntegrationError as exc:
+        raise RegularityError(names[exc.rung] + str(exc), exc.t) from None
+
+    # weights at the nodes, and the sup over nodes of the Frobenius
+    # defect of node differences against midpoint slopes, of every rung
+    # and equation at once, on axes (node, rung, ...)
+    mids = _midpoint_index(times, node_index)
+    Y_n, Y_m = values[node_index], values[mids]
+    _, Sig = _terms(*view(ta_n), Y_n, Y_n[..., :1, :, :])
+    _cond_violations(Sig, grid.nodes,
+                     [name + weight for name in names for weight in weights])
+    defect = (Y_n[1:] - Y_n[:-1]) / grid.h - _slope(
+        *view(_TimeArrays(spec, times[mids])), Y_m, Y_m[..., :1, :, :])
+    res = np.linalg.norm(defect, axis=(-2, -1)).max(axis=0, initial=0.0)
+    return times, values, node_index, Sig, res, asym
 
 
 # ----------------------------------------------------------------------
@@ -347,10 +373,13 @@ def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
         If a weight block becomes numerically singular on the horizon
         or the flow blows up before t = 0.
     """
-    _, times, fine, node_index, Sig, residual, asym = _solve_single(
-        spec, grid, _half_view, "the stacked control weight", rtol)
-    return _solution(grid, delta, "game", times, fine, node_index,
-                     *_signed_block_margins(Sig, spec.m1), residual, asym)
+    ta_n = _TimeArrays(spec, grid.nodes)
+    times, values, node_index, Sig, res, asym = _solve(
+        spec, grid, ta_n, _half_view, ta_n.G[None], rtol,
+        ("the stacked control weight",))
+    return _solution(grid, delta, "game", times, values[:, 0], node_index,
+                     *_signed_block_margins(Sig[:, 0], spec.m1), res[0],
+                     asym[0])
 
 
 def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
@@ -365,35 +394,17 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    ta_n, times, values, node_index, Sig, residual, asym = _solve_single(
-        spec, grid, partial(_control_view, player=player),
-        f"player {player} control weight", rtol)
-    _, _, _, Dt, D, _, _, R = _control_view(ta_n, player, 1)
-    Sigb = R + Dt @ values[node_index] @ D
-    sign = 1.0 if player == 1 else -1.0
-    mu, mub = np.linalg.eigvalsh(sign * np.stack((Sig, Sigb)))[..., 0]
-    return _solution(grid, delta, f"control-{player}", times, values,
-                     node_index, mu, mub, residual, asym)
-
-
-def _solve_single(spec: GameSpec, grid: TimeGrid, view, label: str,
-                  rtol: float):
-    """One equation of a view with Y = P, integrated and checked:
-    (node sample, times, path, node_index, weight at the nodes, midpoint
-    residual, asymmetry sup).  A singular weight aborts first."""
     ta_n = _TimeArrays(spec, grid.nodes)
-    cache = _coefficient_cache(spec, grid, view)
-    times, values, node_index, asym = _integrate_rungs(
-        lambda t, P: _slope(*cache.at(t), P, P), grid, ta_n.G[None], rtol)
-    fine = values[:, 0]
-    mids = _midpoint_index(times, node_index)
-    ta_m = _TimeArrays(spec, times[mids])
-    P_n, P_m = fine[node_index], fine[mids]
-    _, _, _, Dt, D, _, _, R = view(ta_n)
-    Sig = R + Dt @ P_n @ D
-    _cond_violations(Sig, grid.nodes, [label])
-    residual = _sup_defect(P_n, grid.h, _slope(*view(ta_m), P_m, P_m))
-    return ta_n, times, fine, node_index, Sig, residual, asym[0]
+    times, values, node_index, Sig, res, asym = _solve(
+        spec, grid, ta_n, partial(_control_view, player=player),
+        ta_n.G[None], rtol, (f"player {player} control weight",))
+    P_n = values[node_index]
+    _, Sigb = _terms(*_control_view(ta_n, player, 1), P_n, P_n)
+    sign = 1.0 if player == 1 else -1.0
+    mu, mub = np.linalg.eigvalsh(
+        sign * np.stack((Sig[:, 0], Sigb[:, 0])))[..., 0]
+    return _solution(grid, delta, f"control-{player}", times, values[:, 0],
+                     node_index, mu, mub, res[0], asym[0])
 
 
 def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
@@ -426,28 +437,13 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
         shift = _eps_shift(spec, eps)
         names = [f"eps = {e:.6g}: " for e in eps]
     E = shift.shape[0]
-    view = partial(_pair_view, shift=shift)
     ta_n = _TimeArrays(spec, grid.nodes)
     terminal = np.repeat(np.stack((ta_n.G, ta_n.Gsum))[None], E, axis=0)
-    cache = _coefficient_cache(spec, grid, view)
-    times, values, node_index, asym = _integrate_rungs(
-        lambda t, Y: _slope(*cache.at(t), Y, Y[:, :1]), grid, terminal,
-        rtol, names)
-
-    # margins at the nodes and midpoint defects of every rung and both
-    # equations at once, on axes (node, rung, equation, ...)
-    mids = _midpoint_index(times, node_index)
-    ta_m = _TimeArrays(spec, times[mids])
-    Y_n, Y_m = values[node_index], values[mids]
-    _, _, _, Dt, D, _, _, R = view(ta_n)
-    # Sigma and Sigma-bar both weigh P, not Pi
-    Sig = R + Dt @ Y_n[:, :, :1] @ D
-    _cond_violations(Sig, grid.nodes, [
-        name + weight for name in names
-        for weight in ("the stacked control weight",
-                       "the mean-equation control weight")])
+    times, values, node_index, Sig, res, asym = _solve(
+        spec, grid, ta_n, partial(_pair_view, shift=shift), terminal, rtol,
+        ("the stacked control weight", "the mean-equation control weight"),
+        names)
     mu1, mu2 = _signed_block_margins(Sig, spec.m1)
-    res = _sup_defect(Y_n, grid.h, _slope(*view(ta_m), Y_m, Y_m[:, :, :1]))
     out = []
     for e in range(E):
         P_fine = values[:, e, 0]
@@ -458,24 +454,6 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
                            asym[e], companion=P_fine)
         out.append((P_sol, Pi_sol))
     return out
-
-
-def _integrate_rungs(rhs, grid: TimeGrid, terminal: np.ndarray, rtol: float,
-               names=None):
-    """Symmetrized backward integration of a rung stack.
-
-    Returns (times, values, node_index, per-rung asymmetry sup); an
-    IntegrationError becomes a RegularityError prefixed with the
-    failing rung's name.
-    """
-    post, st = _make_post()
-    try:
-        times, values, node_index = integrate_backward(
-            rhs, grid, terminal, rtol=rtol, post=post)
-    except IntegrationError as exc:
-        prefix = names[exc.rung] if names else ""
-        raise RegularityError(prefix + str(exc), exc.t) from None
-    return times, values, node_index, st["sup"]
 
 
 def solve_mean_riccati(spec: GameSpec, P: RiccatiSolution, grid: TimeGrid,
@@ -517,10 +495,11 @@ def assemble_dg_weights(spec: GameSpec, P: RiccatiSolution,
 def check_strong_regularity(P: RiccatiSolution, spec: GameSpec,
                             delta: float = DEFAULT_DELTA) -> RegularityReport:
     """Nodewise signed margins of the plain and barred weight blocks."""
-    _, _, _, D, _, _, R = _TimeArrays(spec, P.grid.nodes).pairs
-    # both weights at once: Sigma and Sigma-bar
-    Sig = R + _T(D) @ P.values @ D
-    (m1p, m1b), (m2p, m2b) = _signed_block_margins(Sig, spec.m1)
+    # both weights at once, Sigma and Sigma-bar; neither reads Pi
+    _, Sig = _pair_terms(_TimeArrays(spec, P.grid.nodes), P.values,
+                         P.values, np.zeros((1, spec.m, spec.m)))
+    (m1p, m1b), (m2p, m2b) = _signed_block_margins(
+        Sig[:, 0].swapaxes(0, 1), spec.m1)
     passed = bool(min(m1p.min(), m2p.min(), m1b.min(), m2b.min()) >= delta)
     return RegularityReport(delta=delta, margin_1=m1p, margin_2=m2p,
                             margin_1_bar=m1b, margin_2_bar=m2b,
@@ -550,7 +529,7 @@ def riccati_residual(P: RiccatiSolution, spec: GameSpec, which: str) -> float:
     interior nodes.
     """
     vals, ta = P.values, _TimeArrays(spec, P.grid.nodes[1:-1])
-    inner = vals[1:-1]
+    inner = vals[1:-1, None]        # one rung of the (K, 1, ...) views
     if which == "Ric1":
         slope = _slope(*_half_view(ta), inner, inner)
     elif which in ("Ric-1", "Ric-2"):
@@ -559,10 +538,10 @@ def riccati_residual(P: RiccatiSolution, spec: GameSpec, which: str) -> float:
         comp = P.companion_values
         if comp is None:
             raise ValueError("Ric2 residual needs the companion game path")
-        slope = _slope(*_half_view(ta, 1), inner, comp[1:-1])
+        slope = _slope(*_half_view(ta, 1), inner, comp[1:-1, None])
     else:
         raise ValueError(f"unknown equation tag {which!r}")
-    defect = (vals[2:] - vals[:-2]) / (2.0 * P.grid.h) - slope
+    defect = (vals[2:] - vals[:-2]) / (2.0 * P.grid.h) - slope[:, 0]
     return float(np.max(np.linalg.norm(defect, axis=(1, 2)), initial=0.0))
 
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from ._integrate import _mv, _sym, _T, _TimeArrays, hermite_midpoint
 from .model import ControlLaw, GameSpec, TimeGrid
-from .riccati import GridMismatchError, RiccatiSolution
+from .riccati import (GridMismatchError, RiccatiSolution, _pair_terms,
+                      _signed_block_margins)
 
 __all__ = [
     "FeedbackLaw",
@@ -126,21 +127,16 @@ def _feedback_fields(ta: _TimeArrays, P: np.ndarray, Pi: np.ndarray,
 
     P and Pi are sampled at ``ta``'s times.  ``shift`` is added to R
     and R + Rbar as the pair solve adds it, so a ladder rung's law is
-    built on the unshifted spec's samples.  Returns the FeedbackLaw
+    built on the unshifted spec's samples.  The gains are
+    -sym(Sigma)^-1 L of the Riccati map.  Returns the FeedbackLaw
     fields of that name.
     """
-    m1 = ta.m1
-    DtP = _T(ta.D) @ P
-    weight = _sym(ta.R + shift + DtP @ ta.D)
-    gain = -np.linalg.solve(weight, _T(ta.B) @ P + DtP @ ta.C + ta.S)
-    DtPs = _T(ta.Dsum) @ P
-    mean_weight = _sym(ta.Rsum + shift + DtPs @ ta.Dsum)
-    mean_gain = -np.linalg.solve(
-        mean_weight, _T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum)
-    return dict(gain=gain, mean_gain=mean_gain, weight=weight,
-                mean_weight=mean_weight,
-                margin_1=np.linalg.eigvalsh(weight[..., :m1, :m1])[..., 0],
-                margin_2=np.linalg.eigvalsh(-weight[..., m1:, m1:])[..., 0])
+    L, Sig = _pair_terms(ta, P, Pi, np.broadcast_to(shift, (1, ta.m, ta.m)))
+    Sig = _sym(Sig[:, 0])
+    gains = -np.linalg.solve(Sig, L[:, 0])
+    margin_1, margin_2 = _signed_block_margins(Sig[:, 0], ta.m1)
+    return dict(gain=gains[:, 0], mean_gain=gains[:, 1], weight=Sig[:, 0],
+                mean_weight=Sig[:, 1], margin_1=margin_1, margin_2=margin_2)
 
 
 def stationarity_residual(spec: GameSpec, law: FeedbackLaw) -> float:
@@ -151,14 +147,10 @@ def stationarity_residual(spec: GameSpec, law: FeedbackLaw) -> float:
     exactly synthesized law, so this measures solve quality and
     catches hand-assembled laws that do not match their Riccati paths.
     """
-    ta = _TimeArrays(spec, law.times)
-    P, Pi = law.riccati, law.mean_riccati
-    DtP, DtPs = _T(ta.D) @ P, _T(ta.Dsum) @ P
-    r1 = _T(ta.B) @ P + DtP @ ta.C + ta.S + (ta.R + DtP @ ta.D) @ law.gain
-    r2 = (_T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum
-          + (ta.Rsum + DtPs @ ta.Dsum) @ law.mean_gain)
-    return max(float(np.max(np.linalg.norm(r, axis=(1, 2))))
-               for r in (r1, r2))
+    L, Sig = _pair_terms(_TimeArrays(spec, law.times), law.riccati,
+                         law.mean_riccati, np.zeros((1, spec.m, spec.m)))
+    r = L[:, 0] + Sig[:, 0] @ np.stack((law.gain, law.mean_gain), axis=1)
+    return float(np.max(np.linalg.norm(r, axis=(-2, -1))))
 
 
 # ----------------------------------------------------------------------

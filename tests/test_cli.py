@@ -13,12 +13,16 @@ import mflqg
 from mflqg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_PASS, main
 
 
+def _strict(constant):
+    raise ValueError(f"report is not valid JSON: {constant}")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     report = None
     if captured.out.strip().startswith("{"):
-        report = json.loads(captured.out)
+        report = json.loads(captured.out, parse_constant=_strict)
     return code, report, captured
 
 
@@ -262,6 +266,16 @@ def test_verify_rejects_partial_gain_columns(capsys, tmp_path):
     assert "gain" in cap.err
 
 
+def test_verify_rejects_non_numeric_cell(capsys, tmp_path):
+    cand = tmp_path / "cand.csv"
+    cand.write_text("t,offset_0,offset_1\n0,0,-1\n0.5,abc,-1\n1,0,-1\n")
+    code, rep, cap = run(capsys, "verify", "--example", "52",
+                         "--candidate", str(cand))
+    assert code == EXIT_INPUT
+    assert rep is None
+    assert "offset_0" in cap.err
+
+
 def test_verify_rejects_unsorted_times(capsys, tmp_path):
     times = np.array([0.0, 0.5, 0.25, 1.0])
     offsets = np.zeros((4, 2))
@@ -271,6 +285,24 @@ def test_verify_rejects_unsorted_times(capsys, tmp_path):
                        "--candidate", str(cand))
     assert code == EXIT_INPUT
     assert "increase" in cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--eps", "-0.5"),
+    ("solve", "--paths", "-3"),
+    ("solve", "--paths", "1"),
+    ("solve", "--x", "nan"),
+    ("perturb", "--eps0", "-1"),
+    ("perturb", "--eps-factor", "1.5"),
+    ("perturb", "--eps-steps", "1"),
+    ("check", "--blocks", "0"),
+    ("check", "--blocks", "-4"),
+], ids=" ".join)
+def test_invalid_numeric_flags_are_input_errors(capsys, argv):
+    code, rep, cap = run(capsys, *argv, "--example", "61", "--grid", "40")
+    assert code == EXIT_INPUT
+    assert rep is None
+    assert cap.err.startswith("error: ") and argv[1] in cap.err
 
 
 # ------------------------------------------------------ configuration

@@ -204,8 +204,8 @@ def test_mean_solver_grid_and_consistency_guards():
 
 
 def test_integrate_backward_frees_its_rhs_without_the_collector():
-    # the integrator's recursive segment closure must not keep itself,
-    # and with it rhs and the partition, alive in a reference cycle
+    # the integrator must not keep rhs and the partition alive in a
+    # reference cycle
     def rhs(t, y):
         return 30.0 * y
 
@@ -462,6 +462,85 @@ def test_singular_weight_names_first_rung_then_sigma_before_sigma_bar():
     with pytest.raises(RegularityError, match="^rung 1 bar is") as info:
         mflqg.riccati._cond_violations(Sig, nodes, labels)
     assert info.value.t == 0.5
+
+
+# ------------------------------------------------- the shared map's weights
+#
+# The oracles below are the weights Sigma = R + D' P D as the solvers
+# and check_strong_regularity once wrote them out, each on its own.
+
+def _oracle_regularity(P, spec):
+    """check_strong_regularity's margins, (plain, barred) per player."""
+    _, _, _, D, _, _, R = _TimeArrays(spec, P.grid.nodes).pairs
+    Sig = R + _T(D) @ P.values @ D
+    m1 = spec.m1
+    return (np.linalg.eigvalsh(Sig[..., :m1, :m1])[..., 0],
+            np.linalg.eigvalsh(-Sig[..., m1:, m1:])[..., 0])
+
+
+def _oracle_control_margins(spec, sol, player):
+    """solve_control_riccati's (plain, barred) margins from its nodes."""
+    ta = _TimeArrays(spec, sol.grid.nodes)
+    c = slice(0, spec.m1) if player == 1 else slice(spec.m1, spec.m)
+    weights = []
+    for D, R in ((ta.D, ta.R), (ta.Dsum, ta.Rsum)):
+        Dt = _T(D)[..., c, :]
+        weights.append(R[..., c, c] + Dt @ sol.values @ D[..., c])
+    sign = 1.0 if player == 1 else -1.0
+    return np.linalg.eigvalsh(sign * np.stack(weights))[..., 0]
+
+
+def _varying_game(n):
+    """A solvable embedded random game with n states whose drift or
+    control coefficient varies in time."""
+    rng = np.random.default_rng(7)
+    while True:
+        spec = embed_perturbation(random_instance(rng), 0.5)
+        co = spec.coefficients
+        if spec.n != n or co.A.kind == co.B1.kind == "constant":
+            continue
+        try:
+            solve_riccati_pair(spec, TimeGrid(1.0, 40))
+        except RegularityError:
+            continue
+        return spec
+
+
+def _map_games(case):
+    """(game, P) pairs of one case; a ladder rung's game is the
+    embedding its shifted pair solves."""
+    grid = TimeGrid(1.0, 150)
+    if case == "ex52-ladder":
+        spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
+        pairs = mflqg.riccati._solve_pairs(spec, grid, eps, 0.0, 1e-8)
+        return [(embed_perturbation(spec, e), P)
+                for e, (P, _) in zip(eps, pairs)]
+    spec = (embed_perturbation(make_example61(), 0.5) if case == "ex61"
+            else _varying_game(int(case[-1])))
+    return [(spec, solve_riccati_pair(spec, grid)[0])]
+
+
+_MAP_CASES = ["ex61", "ex52-ladder", "random-n1", "random-n2", "random-n3"]
+
+
+@pytest.mark.parametrize("case", _MAP_CASES)
+def test_regularity_margins_match_written_out_weights(case):
+    for spec, P in _map_games(case):
+        rep = check_strong_regularity(P, spec)
+        (m1p, m1b), (m2p, m2b) = _oracle_regularity(P, spec)
+        for got, want in ((rep.margin_1, m1p), (rep.margin_2, m2p),
+                          (rep.margin_1_bar, m1b), (rep.margin_2_bar, m2b)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", _MAP_CASES)
+def test_control_margins_match_written_out_weights(case):
+    for spec, _ in _map_games(case):
+        for player in (1, 2):
+            sol = solve_control_riccati(spec, TimeGrid(1.0, 150), player)
+            mu, mub = _oracle_control_margins(spec, sol, player)
+            assert sol.regularity_margin_1.tobytes() == mu.tobytes()
+            assert sol.regularity_margin_2.tobytes() == mub.tobytes()
 
 
 # ---------------------------------------------------------------- csv

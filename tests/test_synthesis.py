@@ -9,13 +9,13 @@ from mflqg.model import (DEFAULT_DELTA, CoefficientPath, ControlLaw,
 from mflqg.perturbation import EpsSchedule
 from mflqg.riccati import (DEFAULT_RTOL, RegularityError, _eps_shift,
                            _solve_pairs, solve_riccati_pair)
-from mflqg.synthesis import (_direction_shapes, _feedback_fields,
-                             _MomentEngine, _open_loop_gradient,
-                             _simpson_weights, build_feedback,
-                             evaluate_functional, evaluate_functional_mc,
-                             propagate_moments, stationarity_residual,
-                             verify_saddle, write_feedback_csv,
-                             write_moments_csv)
+from mflqg.synthesis import (FeedbackLaw, _direction_shapes,
+                             _feedback_fields, _MomentEngine,
+                             _open_loop_gradient, _simpson_weights,
+                             build_feedback, evaluate_functional,
+                             evaluate_functional_mc, propagate_moments,
+                             stationarity_residual, verify_saddle,
+                             write_feedback_csv, write_moments_csv)
 
 from conftest import make_example52, make_example61, random_instance
 
@@ -524,6 +524,74 @@ def test_moment_march_matches_loop_oracle_on_random_games(n, off):
     _assert_close(eng.form(v), _oracle_form(eng, v))
     _assert_close(_open_loop_gradient(eng, cl, ours[2][0]),
                   _oracle_gradient(eng, cl, ref[2][0]))
+
+
+# ------------------------------------------------- the shared Riccati map
+#
+# The oracles below are the feedback fields and the stationarity
+# residual as they once wrote out the map's weight R + D' P D and
+# linear term B' Y + D' P C + S themselves.
+
+def _oracle_feedback_fields(ta, P, Pi, shift=0.0):
+    m1 = ta.m1
+    DtP = _T(ta.D) @ P
+    weight = _sym(ta.R + shift + DtP @ ta.D)
+    gain = -np.linalg.solve(weight, _T(ta.B) @ P + DtP @ ta.C + ta.S)
+    DtPs = _T(ta.Dsum) @ P
+    mean_weight = _sym(ta.Rsum + shift + DtPs @ ta.Dsum)
+    mean_gain = -np.linalg.solve(
+        mean_weight, _T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum)
+    return dict(gain=gain, mean_gain=mean_gain, weight=weight,
+                mean_weight=mean_weight,
+                margin_1=np.linalg.eigvalsh(weight[..., :m1, :m1])[..., 0],
+                margin_2=np.linalg.eigvalsh(-weight[..., m1:, m1:])[..., 0])
+
+
+def _oracle_stationarity(spec, law):
+    ta = _TimeArrays(spec, law.times)
+    P, Pi = law.riccati, law.mean_riccati
+    DtP, DtPs = _T(ta.D) @ P, _T(ta.Dsum) @ P
+    r1 = _T(ta.B) @ P + DtP @ ta.C + ta.S + (ta.R + DtP @ ta.D) @ law.gain
+    r2 = (_T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum
+          + (ta.Rsum + DtPs @ ta.Dsum) @ law.mean_gain)
+    return max(float(np.max(np.linalg.norm(r, axis=(1, 2))))
+               for r in (r1, r2))
+
+
+def _map_rungs(case):
+    """(spec, P, Pi, shift, game the law solves) of one case's rungs."""
+    if case == "ex52-ladder":
+        spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
+        pairs = _solve_pairs(spec, TimeGrid(1.0, 150), eps, DEFAULT_DELTA,
+                             DEFAULT_RTOL)
+        return [(spec, P, Pi, shift, embed_perturbation(spec, e))
+                for e, shift, (P, Pi) in zip(eps, _eps_shift(spec, eps),
+                                             pairs)]
+    if case == "ex61":
+        spec = embed_perturbation(make_example61(), 0.5)
+        P, Pi = solve_riccati_pair(spec, TimeGrid(1.0, 150))
+    else:
+        spec, _, (P, Pi) = _noisy_varying(int(case[-1]))
+    return [(spec, P, Pi, 0.0, spec)]
+
+
+@pytest.mark.parametrize("case", ["ex61", "ex52-ladder", "random-n1",
+                                  "random-n2", "random-n3"])
+def test_feedback_and_stationarity_match_written_out_map(case):
+    for spec, P, Pi, shift, game in _map_rungs(case):
+        ta = _TimeArrays(spec, P.times)
+        ours = _feedback_fields(ta, P.values_fine, Pi.values_fine, shift)
+        ref = _oracle_feedback_fields(ta, P.values_fine, Pi.values_fine,
+                                      shift)
+        assert ours.keys() == ref.keys()
+        for name, want in ref.items():
+            assert ours[name].shape == want.shape
+            assert ours[name].tobytes() == want.tobytes(), name
+        law = FeedbackLaw(grid=P.grid, times=P.times,
+                          node_index=P.node_index, riccati=P.values_fine,
+                          mean_riccati=Pi.values_fine, **ours)
+        assert (stationarity_residual(game, law)
+                == _oracle_stationarity(game, law))
 
 
 # ---------------------------------------------------------------- csv
