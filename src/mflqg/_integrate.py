@@ -60,6 +60,9 @@ _MAX_SEGMENTS = 4096
 # Halvings of one grid interval before a failing doubling test is fatal.
 _MAX_DEPTH = 40
 
+# Relative tolerance of the step-doubling test: one step against two.
+_RTOL = 1e-8
+
 # Rows a CoefficientCache keeps before it starts over.
 _MAX_MEMO = 1 << 18
 
@@ -237,17 +240,17 @@ def stage_times(grid: TimeGrid) -> np.ndarray:
     return np.unique(np.concatenate((nodes, t0 + 0.5 * h, t0 + h)))
 
 
-def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
-                       rtol: float = 1e-8):
+def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
     """Integrate dy/dt = rhs(t, y) from t = T down to t = 0.
 
     The leading axis of ``y_terminal`` indexes independent rungs that
     share one adaptive partition: ``rhs`` maps a stack of rung states
     to their slopes.  Every rung keeps the tests of a solo solve: its
-    own fast-accept and step-doubling test, and its own escape bound
-    against its own terminal scale.  An interval is taken in one step
-    when every rung passes its fast test, in two half-steps when every
-    rung passes its doubling test, and split in halves otherwise.
+    own fast-accept and step-doubling test (to ``_RTOL``), and its own
+    escape bound against its own terminal scale.  An interval is taken
+    in one step when every rung passes its fast test, in two half-steps
+    when every rung passes its doubling test, and split in halves
+    otherwise.
 
     Returns (times, values, node_index, skew): ``times`` ascend from 0
     to T and alternate segment boundaries (even indices) and segment
@@ -336,7 +339,7 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray, *,
                 err = _rung_max(y_full - y_half)
                 ynorm = _rung_max(y_half)
                 good = (mid_ok & _rung_finite(y_half) & _rung_finite(y_full)
-                        & (err <= rtol * (1.0 + ynorm)))
+                        & (err <= _RTOL * (1.0 + ynorm)))
             if good.all():
                 store(t_mid, y_half_mid)
                 y, t0 = store(t1, y_half), t1

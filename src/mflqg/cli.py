@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from ._integrate import IntegrationError
-from .model import (CoefficientPath, ControlLaw, GameSpec, TimeGrid,
-                    embed_perturbation, validate_spec)
+from .model import (DEFAULT_DELTA, SYMMETRY_TOL, CoefficientPath,
+                    ControlLaw, GameSpec, TimeGrid, embed_perturbation,
+                    validate_spec)
 from .riccati import (RegularityError, check_strong_regularity,
                       solve_riccati_pair, write_riccati_csv)
 from .synthesis import (build_feedback, evaluate_functional,
@@ -129,6 +130,11 @@ def _grid_from(args, spec: GameSpec, multiple_of: int = 1) -> TimeGrid:
     N = args.grid
     if N < 10:
         raise InputError(f"--grid must be at least 10, got {N}")
+    # both end up in the report, where a NaN or infinity is not JSON
+    for flag in ("tol", "delta"):
+        value = getattr(args, flag, None)
+        if value is not None and not np.isfinite(value):
+            raise InputError(f"--{flag} must be finite, got {value}")
     if multiple_of > 1 and N % multiple_of:
         N += multiple_of - N % multiple_of
     return TimeGrid(spec.T, N)
@@ -182,7 +188,7 @@ def _validated(spec: GameSpec) -> dict:
         raise InputError("spec validation failed: "
                          + "; ".join(report.failures))
     return {"passed": True, "warnings": list(report.warnings),
-            "symmetry_tol": 1e-12}
+            "symmetry_tol": SYMMETRY_TOL}
 
 
 # -- commands -------------------------------------------------------------
@@ -199,6 +205,8 @@ def cmd_solve(args) -> int:
     grid = _grid_from(args, spec)
     if args.paths < 0 or args.paths == 1:
         raise InputError(f"--paths must be 0 or at least 2, got {args.paths}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     x = _x_from(args, spec)
     stages: dict = {"validation": _validated(spec)}
 
@@ -225,7 +233,7 @@ def cmd_solve(args) -> int:
     law = build_feedback(spec, P, Pi)
     stat = stationarity_residual(spec, law)
     stages["feedback"] = {
-        "stationarity_sup": {"value": stat, "tol": 1e-6},
+        "stationarity_sup": {"value": stat, "tol": args.tol},
         "margin_1": law.margin_1,
         "margin_2": law.margin_2,
     }
@@ -568,11 +576,10 @@ def cmd_reproduce(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, with_example=True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a JSON game config")
-    if with_example:
-        p.add_argument("--example", choices=_EXAMPLE_IDS,
-                       help="use a bundled example config instead")
+    p.add_argument("--example", choices=_EXAMPLE_IDS,
+                   help="use a bundled example config instead")
     p.add_argument("--grid", type=int, default=2000,
                    help="time-grid intervals (default 2000)")
     p.add_argument("--x", help="initial state, comma-separated "
@@ -580,8 +587,6 @@ def _add_common(p: argparse.ArgumentParser, with_example=True) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="command tolerance (default depends on command)")
     p.add_argument("--out", help="directory for CSV and report files")
-    p.add_argument("--delta", type=float, default=1e-8,
-                   help="required uniform definiteness margin")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -592,6 +597,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="closed-loop Riccati solve and value")
     _add_common(p)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                   help="uniform definiteness margin (default %(default)g)")
     p.add_argument("--eps", type=float, default=0.0,
                    help="convexifying shift to embed before solving")
     p.add_argument("--paths", type=int, default=0,

@@ -257,15 +257,6 @@ class Coefficients:
     D2: CoefficientPath
     D2bar: CoefficientPath
 
-    def __eq__(self, other):
-        if not isinstance(other, Coefficients):
-            return NotImplemented
-        return all(getattr(self, f.name) == getattr(other, f.name)
-                   for f in dataclasses.fields(self))
-
-    def __hash__(self):
-        return 0
-
 
 @dataclass(frozen=True, eq=False)
 class CostWeights:
@@ -288,19 +279,6 @@ class CostWeights:
     R12bar: CoefficientPath
     R22: CoefficientPath
     R22bar: CoefficientPath
-
-    def __eq__(self, other):
-        if not isinstance(other, CostWeights):
-            return NotImplemented
-        for f in dataclasses.fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            if not same:
-                return False
-        return True
-
-    def __hash__(self):
-        return 0
 
 
 def _block_shapes(n: int, m1: int, m2: int) -> dict:
@@ -359,17 +337,6 @@ class GameSpec:
                               **{k: paths[k] for k in weight_names})
         return cls(n=n, m1=m1, m2=m2, T=float(T),
                    coefficients=coeffs, weights=weights)
-
-    def __eq__(self, other):
-        if not isinstance(other, GameSpec):
-            return NotImplemented
-        return ((self.n, self.m1, self.m2, self.T)
-                == (other.n, other.m1, other.m2, other.T)
-                and self.coefficients == other.coefficients
-                and self.weights == other.weights)
-
-    def __hash__(self):
-        return hash((self.n, self.m1, self.m2, self.T))
 
 
 @dataclass(frozen=True)

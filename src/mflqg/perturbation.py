@@ -21,7 +21,7 @@ import numpy as np
 
 from ._integrate import _T, _TimeArrays
 from .model import DEFAULT_DELTA, GameSpec, TimeGrid, embed_perturbation
-from .riccati import (DEFAULT_RTOL, RiccatiSolution, _eps_shift, _solve_pairs,
+from .riccati import (RiccatiSolution, _eps_shift, _solve_pairs,
                       solve_riccati_pair)
 from .synthesis import (FeedbackLaw, SaddleReport, _feedback_fields,
                         _march, _mean_system, _MomentEngine, _simpson_weights,
@@ -77,16 +77,15 @@ class EpsIterate:
         return float(np.sqrt(max(self.norm_sq, 0.0)))
 
 
-def build_eps_iterate(spec: GameSpec, eps: float, grid: TimeGrid, x,
-                      delta: float | None = None) -> EpsIterate:
+def build_eps_iterate(spec: GameSpec, eps: float, grid: TimeGrid,
+                      x) -> EpsIterate:
     """Solve the eps-shifted game and realize its feedback optimum.
 
     The one-rung composition of the public steps, which the batched
     ladder of ``classify_family`` is tested against.
     """
     shifted = embed_perturbation(spec, eps)
-    P, Pi = solve_riccati_pair(shifted, grid,
-                               DEFAULT_DELTA if delta is None else delta)
+    P, Pi = solve_riccati_pair(shifted, grid)
     feedback = build_feedback(shifted, P, Pi)
     report = evaluate_functional(shifted, feedback, x)
     return EpsIterate(eps=eps, riccati=P, mean_riccati=Pi,
@@ -94,8 +93,7 @@ def build_eps_iterate(spec: GameSpec, eps: float, grid: TimeGrid, x,
                       norm_sq=report.control_norm_sq)
 
 
-def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x,
-                    delta: float | None) -> list:
+def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x) -> list:
     """Iterates of every eps, solved and realized together.
 
     The rungs' Riccati pairs share one adaptive partition.  There one
@@ -103,9 +101,7 @@ def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x,
     gives every rung's law, and one moment run every rung's value and
     control norm.  A breakdown raises RegularityError naming its eps.
     """
-    pairs = _solve_pairs(spec, grid, eps_values,
-                         DEFAULT_DELTA if delta is None else delta,
-                         DEFAULT_RTOL)
+    pairs = _solve_pairs(spec, grid, eps_values, DEFAULT_DELTA)
     times = pairs[0][0].times
     shift = _eps_shift(spec, eps_values)
     ta = _TimeArrays(spec, times)
@@ -279,7 +275,6 @@ class EpsFamilyReport:
 
 def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
                     grid: TimeGrid, tol: float = 1e-2,
-                    delta: float | None = None,
                     verify: bool = True) -> EpsFamilyReport:
     """Sweep the convexification ladder and classify solvability.
 
@@ -294,7 +289,7 @@ def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
     """
     schedule = schedule or EpsSchedule()
     xvec = np.asarray(x, dtype=float).reshape(spec.n)
-    iterates = _solve_iterates(spec, schedule.values, grid, xvec, delta)
+    iterates = _solve_iterates(spec, schedule.values, grid, xvec)
     norms = np.array([it.norm for it in iterates])
     values = np.array([it.value for it in iterates])
     # when both controls are zero in L2 their distance is exactly zero

@@ -58,8 +58,6 @@ __all__ = [
     "write_riccati_csv",
 ]
 
-DEFAULT_RTOL = 1e-8
-
 
 class RegularityError(RuntimeError):
     """The Riccati flow lost strong regularity inside the horizon."""
@@ -307,8 +305,7 @@ def _solution(grid, delta, kind, times, fine, node_index, mu1, mu2,
 
 
 def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
-           terminal: np.ndarray, rtol: float, weights,
-           names=("",)) -> tuple:
+           terminal: np.ndarray, weights, names=("",)) -> tuple:
     """Integrate a view's rung stack backward from ``terminal`` and
     check it: (times, path, node_index, Sigma at the nodes ``ta_n``,
     midpoint residuals, asymmetry sups).  ``names`` prefixes each
@@ -321,7 +318,7 @@ def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
     try:
         times, values, node_index, asym = integrate_backward(
             lambda t, Y: _slope(*cache.at(t), Y, Y[..., :1, :, :]), grid,
-            terminal, rtol=rtol)
+            terminal)
     except IntegrationError as exc:
         raise RegularityError(names[exc.rung] + str(exc), exc.t) from None
 
@@ -344,8 +341,7 @@ def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
 # ----------------------------------------------------------------------
 
 def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
-                       delta: float = DEFAULT_DELTA,
-                       rtol: float = DEFAULT_RTOL) -> RiccatiSolution:
+                       delta: float = DEFAULT_DELTA) -> RiccatiSolution:
     """Solve the game Riccati equation backward from P(T) = G.
 
     Parameters
@@ -353,12 +349,11 @@ def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
     spec : GameSpec
         Validated game description.
     grid : TimeGrid
-        Output grid; integration refines inside intervals as needed.
+        Output grid; integration refines inside intervals as needed,
+        to the integrator's fixed step-doubling tolerance.
     delta : float
         Margin the signed weight blocks must keep for the solution to
         be flagged strongly regular.
-    rtol : float
-        Step-doubling acceptance tolerance of the integrator.
 
     Returns
     -------
@@ -375,7 +370,7 @@ def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
     """
     ta_n = _TimeArrays(spec, grid.nodes)
     times, values, node_index, Sig, res, asym = _solve(
-        spec, grid, ta_n, _half_view, ta_n.G[None], rtol,
+        spec, grid, ta_n, _half_view, ta_n.G[None],
         ("the stacked control weight",))
     return _solution(grid, delta, "game", times, values[:, 0], node_index,
                      *_signed_block_margins(Sig[:, 0], spec.m1), res[0],
@@ -383,8 +378,7 @@ def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
 
 
 def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
-                          delta: float = DEFAULT_DELTA,
-                          rtol: float = DEFAULT_RTOL) -> RiccatiSolution:
+                          delta: float = DEFAULT_DELTA) -> RiccatiSolution:
     """Solve the single-channel Riccati equation of one player.
 
     The equation keeps the shared state weights Q and G but sees only
@@ -397,7 +391,7 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     ta_n = _TimeArrays(spec, grid.nodes)
     times, values, node_index, Sig, res, asym = _solve(
         spec, grid, ta_n, partial(_control_view, player=player),
-        ta_n.G[None], rtol, (f"player {player} control weight",))
+        ta_n.G[None], (f"player {player} control weight",))
     P_n = values[node_index]
     _, Sigb = _terms(*_control_view(ta_n, player, 1), P_n, P_n)
     sign = 1.0 if player == 1 else -1.0
@@ -408,8 +402,7 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
 
 
 def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
-                       delta: float = DEFAULT_DELTA,
-                       rtol: float = DEFAULT_RTOL):
+                       delta: float = DEFAULT_DELTA):
     """Solve the game equation and the mean equation in one sweep.
 
     The pair is integrated jointly so the mean equation sees the game
@@ -417,11 +410,10 @@ def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
     Returns (P, Pi) as RiccatiSolutions on a shared refined partition;
     Pi carries P as its companion path.
     """
-    return _solve_pairs(spec, grid, None, delta, rtol)[0]
+    return _solve_pairs(spec, grid, None, delta)[0]
 
 
-def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
-                 rtol: float) -> list:
+def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float) -> list:
     """Riccati pairs of several convexified neighbours in one sweep.
 
     ``eps`` None solves ``spec`` itself; otherwise rung e is the game
@@ -440,7 +432,7 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
     ta_n = _TimeArrays(spec, grid.nodes)
     terminal = np.repeat(np.stack((ta_n.G, ta_n.Gsum))[None], E, axis=0)
     times, values, node_index, Sig, res, asym = _solve(
-        spec, grid, ta_n, partial(_pair_view, shift=shift), terminal, rtol,
+        spec, grid, ta_n, partial(_pair_view, shift=shift), terminal,
         ("the stacked control weight", "the mean-equation control weight"),
         names)
     mu1, mu2 = _signed_block_margins(Sig, spec.m1)
@@ -457,8 +449,7 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float,
 
 
 def solve_mean_riccati(spec: GameSpec, P: RiccatiSolution, grid: TimeGrid,
-                       delta: float = DEFAULT_DELTA,
-                       rtol: float = DEFAULT_RTOL) -> RiccatiSolution:
+                       delta: float = DEFAULT_DELTA) -> RiccatiSolution:
     """Solve the mean Riccati equation for Pi given the game solution P.
 
     P must be the game solution on the same grid; the pair is
@@ -468,7 +459,7 @@ def solve_mean_riccati(spec: GameSpec, P: RiccatiSolution, grid: TimeGrid,
     """
     if not np.array_equal(P.grid.nodes, grid.nodes):
         raise GridMismatchError("P was solved on a different grid")
-    P_pair, Pi = solve_riccati_pair(spec, grid, delta=delta, rtol=rtol)
+    P_pair, Pi = solve_riccati_pair(spec, grid, delta=delta)
     scale = 1.0 + float(np.max(np.abs(P_pair.values)))
     gap = float(np.max(np.abs(P_pair.values - P.values)))
     if gap > 1e-6 * scale:

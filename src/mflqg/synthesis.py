@@ -52,6 +52,13 @@ __all__ = [
     "write_feedback_csv",
 ]
 
+# Monte Carlo paths simulated at once: bounds the increments' memory,
+# not the estimate, which depends only on the seed and the path count.
+_MC_BLOCK = 1000
+
+# Curvature a saddle may show with the wrong sign, relative to 1 + |J|.
+_CURVATURE_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class FeedbackLaw:
@@ -96,29 +103,16 @@ def build_feedback(spec: GameSpec, P: RiccatiSolution,
                    Pi: RiccatiSolution) -> FeedbackLaw:
     """Invert the control weights along P and Pi into feedback gains.
 
-    P and Pi must live on one partition: either both were sampled on
-    the same times, or Pi carries P as its companion (the pair-solver
-    output), in which case the companion path is used so the gains see
-    P exactly at Pi's refined times.
+    P and Pi must be sampled on one partition, as ``solve_riccati_pair``
+    returns them; the law lives on that partition and P's node index.
     """
-    if np.array_equal(P.times, Pi.times):
-        times, P_fine = P.times, P.values_fine
-    elif Pi.companion_fine is not None and np.array_equal(
-            P.grid.nodes, Pi.grid.nodes):
-        times, P_fine = Pi.times, Pi.companion_fine
-        gap = float(np.max(np.abs(P_fine[Pi.node_index] - P.values)))
-        if gap > 1e-6 * (1.0 + float(np.max(np.abs(P.values)))):
-            raise ValueError(
-                f"P disagrees with Pi's companion path ({gap:.3e}); "
-                "the two solutions do not describe one game")
-    else:
-        raise GridMismatchError(
-            "P and Pi share neither a partition nor a companion path")
-    Pi_fine = Pi.values_fine
-    fields = _feedback_fields(_TimeArrays(spec, times), P_fine, Pi_fine)
-    return FeedbackLaw(grid=P.grid, times=times, node_index=Pi.node_index
-                       if Pi.companion_fine is not None else P.node_index,
-                       riccati=P_fine, mean_riccati=Pi_fine, **fields)
+    if not np.array_equal(P.times, Pi.times):
+        raise GridMismatchError("P and Pi are not sampled on one partition")
+    fields = _feedback_fields(_TimeArrays(spec, P.times), P.values_fine,
+                              Pi.values_fine)
+    return FeedbackLaw(grid=P.grid, times=P.times, node_index=P.node_index,
+                       riccati=P.values_fine, mean_riccati=Pi.values_fine,
+                       **fields)
 
 
 def _feedback_fields(ta: _TimeArrays, P: np.ndarray, Pi: np.ndarray,
@@ -446,13 +440,13 @@ class MCReport:
 
 
 def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
-                           seed: int = 0, block: int = 1000) -> MCReport:
+                           seed: int = 0) -> MCReport:
     """Estimate J(x0; u) by Euler-Maruyama on the fluctuation process.
 
     The state mean is taken from the exact moment flow and only the
     centered part is simulated, so specs without noise reproduce the
     quadrature value path by path.  Fixing seed and paths fixes the
-    estimate exactly.
+    estimate exactly; paths are simulated ``_MC_BLOCK`` at a time.
     """
     cl = _as_control_law(law)
     eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
@@ -485,7 +479,7 @@ def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
     totals = np.empty(paths)
     done = 0
     while done < paths:
-        bp = min(block, paths - done)
+        bp = min(_MC_BLOCK, paths - done)
         # time-major increments, so each step reads one contiguous row
         dW = np.ascontiguousarray((rng.standard_normal((bp, K - 1)) * sq).T)
         Y = np.zeros((bp, n))
@@ -581,8 +575,7 @@ class SaddleReport:
     curvature_tol: float
 
 
-def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6,
-                  curvature_tol: float = 1e-9) -> SaddleReport:
+def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6) -> SaddleReport:
     """Verify the saddle property of a law against open-loop bumps.
 
     Each player's realized control is bumped along unit-norm window
@@ -593,6 +586,7 @@ def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6,
     the zero law's quadratic form over the bumps, the form ``check``'s
     sections use.  ``value`` is the law's functional from one moment
     run, and ``quadratic_defect`` its gap to the law's quadratic form.
+    ``tol`` bounds stationarity and ``_CURVATURE_TOL`` curvature.
     """
     cl = _as_control_law(law)
     K, n, m = cl.times.shape[0], spec.n, spec.m
@@ -623,15 +617,15 @@ def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6,
     curvature_max_2 = float(cur2.max()) if cur2.size else float("-inf")
     stat_sup = float(np.max(np.abs(lin)))
     ok = (stat_sup <= tol * scale
-          and curvature_min_1 >= -curvature_tol * scale
-          and curvature_max_2 <= curvature_tol * scale)
+          and curvature_min_1 >= -_CURVATURE_TOL * scale
+          and curvature_max_2 <= _CURVATURE_TOL * scale)
     return SaddleReport(is_saddle=bool(ok), value=base,
                         stationarity_sup=stat_sup,
                         curvature_min_1=curvature_min_1,
                         curvature_max_2=curvature_max_2,
                         quadratic_defect=float(defect), players=players,
                         stationarity=lin, curvature=quad, tol=tol,
-                        curvature_tol=curvature_tol)
+                        curvature_tol=_CURVATURE_TOL)
 
 
 def write_moments_csv(path, moments: MomentPath) -> None:

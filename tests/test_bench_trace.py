@@ -40,3 +40,10 @@ def test_warm_up_is_traced(workload):
     if workload != "section":
         assert counts["integrate.rhs_calls"] > 0
         assert counts["integrate.partition_samples"] > 0
+    if workload == "ladder":
+        assert counts["perturbation.distance_segments"] > 0
+        assert counts["synthesis.verify_bumps"] > 0
+    else:
+        assert counts["synthesis.moment_runs"] > 0
+    if workload == "suite":
+        assert counts["synthesis.mc_path_steps"] > 0

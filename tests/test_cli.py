@@ -297,12 +297,35 @@ def test_verify_rejects_unsorted_times(capsys, tmp_path):
     ("perturb", "--eps-steps", "1"),
     ("check", "--blocks", "0"),
     ("check", "--blocks", "-4"),
+    ("solve", "--delta", "nan"),
+    ("solve", "--delta", "inf"),
+    ("solve", "--tol", "nan"),
+    ("check", "--tol", "nan"),
+    ("perturb", "--tol", "nan"),
+    ("verify", "--tol", "inf"),
+    ("solve", "--seed", "-1", "--paths", "10"),
 ], ids=" ".join)
 def test_invalid_numeric_flags_are_input_errors(capsys, argv):
     code, rep, cap = run(capsys, *argv, "--example", "61", "--grid", "40")
     assert code == EXIT_INPUT
     assert rep is None
     assert cap.err.startswith("error: ") and argv[1] in cap.err
+
+
+@pytest.mark.parametrize("command", ["check", "perturb", "verify"])
+def test_only_solve_takes_delta(capsys, command):
+    # the margin delta belongs to the closed-loop solve alone
+    with pytest.raises(SystemExit) as info:
+        main([command, "--example", "61", "--grid", "40", "--delta", "0.1"])
+    assert info.value.code == EXIT_INPUT
+    assert "--delta" in capsys.readouterr().err
+
+
+def test_solve_reports_its_tol(capsys):
+    code, rep, _ = run(capsys, "solve", "--example", "61", "--eps", "0.5",
+                       "--grid", "40", "--tol", "1e-3")
+    assert code == EXIT_PASS
+    assert rep["stages"]["feedback"]["stationarity_sup"]["tol"] == 1e-3
 
 
 # ------------------------------------------------------ configuration

@@ -414,7 +414,7 @@ def test_pair_slope_matches_two_equation_oracle(monkeypatch, case, when):
     else:
         shift = mflqg.riccati._eps_shift(spec, eps)
         rhs = _solver_rhs(monkeypatch, lambda: mflqg.riccati._solve_pairs(
-            spec, _GRID, eps, 0.0, 1e-8))
+            spec, _GRID, eps, 0.0))
     t = _TIMES[when]
     Y = _states(np.random.default_rng(11), (shift.shape[0], 2), spec.n)
     sizes = _single_samples(monkeypatch)
@@ -512,7 +512,7 @@ def _map_games(case):
     grid = TimeGrid(1.0, 150)
     if case == "ex52-ladder":
         spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
-        pairs = mflqg.riccati._solve_pairs(spec, grid, eps, 0.0, 1e-8)
+        pairs = mflqg.riccati._solve_pairs(spec, grid, eps, 0.0)
         return [(embed_perturbation(spec, e), P)
                 for e, (P, _) in zip(eps, pairs)]
     spec = (embed_perturbation(make_example61(), 0.5) if case == "ex61"

@@ -7,7 +7,7 @@ from mflqg._integrate import _mv, _sym, _T, _TimeArrays, hermite_midpoint
 from mflqg.model import (DEFAULT_DELTA, CoefficientPath, ControlLaw,
                          GameSpec, TimeGrid, embed_perturbation)
 from mflqg.perturbation import EpsSchedule
-from mflqg.riccati import (DEFAULT_RTOL, RegularityError, _eps_shift,
+from mflqg.riccati import (GridMismatchError, RegularityError, _eps_shift,
                            _solve_pairs, solve_riccati_pair)
 from mflqg.synthesis import (FeedbackLaw, _direction_shapes,
                              _feedback_fields, _MomentEngine,
@@ -64,6 +64,15 @@ def test_as_control_law_round_trip(law61):
     np.testing.assert_array_equal(cl.times, law.times)
     np.testing.assert_array_equal(cl.gain, law.gain)
     assert not np.any(cl.offset)
+
+
+def test_feedback_needs_one_partition():
+    # P and Pi of pairs solved on different grids share no partition
+    spec = embed_perturbation(make_example61(), 0.5)
+    P, _ = solve_riccati_pair(spec, TimeGrid(1.0, 100))
+    _, Pi = solve_riccati_pair(spec, TimeGrid(1.0, 150))
+    with pytest.raises(GridMismatchError):
+        build_feedback(spec, P, Pi)
 
 
 # ------------------------------------------------------------- moments
@@ -474,7 +483,7 @@ def test_ladder_moment_march_matches_loop_oracle(make, sched, x):
     # the ladder's engine: one law per rung on the shared partition
     spec = make()
     pairs = _solve_pairs(spec, TimeGrid(1.0, 250), sched.values,
-                         DEFAULT_DELTA, DEFAULT_RTOL)
+                         DEFAULT_DELTA)
     times = pairs[0][0].times
     shift = _eps_shift(spec, sched.values)
     ta = _TimeArrays(spec, times)
@@ -562,8 +571,7 @@ def _map_rungs(case):
     """(spec, P, Pi, shift, game the law solves) of one case's rungs."""
     if case == "ex52-ladder":
         spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
-        pairs = _solve_pairs(spec, TimeGrid(1.0, 150), eps, DEFAULT_DELTA,
-                             DEFAULT_RTOL)
+        pairs = _solve_pairs(spec, TimeGrid(1.0, 150), eps, DEFAULT_DELTA)
         return [(spec, P, Pi, shift, embed_perturbation(spec, e))
                 for e, shift, (P, Pi) in zip(eps, _eps_shift(spec, eps),
                                              pairs)]
