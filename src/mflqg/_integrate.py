@@ -240,6 +240,9 @@ def stage_times(grid: TimeGrid) -> np.ndarray:
     return np.unique(np.concatenate((nodes, t0 + 0.5 * h, t0 + h)))
 
 
+# a trial step may overflow; _rung_finite rejects it, so numpy's
+# warnings about it are noise
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
     """Integrate dy/dt = rhs(t, y) from t = T down to t = 0.
 
@@ -269,16 +272,6 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
     nodes = grid.nodes
     y = np.asarray(y_terminal, dtype=float)
     scale0 = 1.0 + _rung_max(y)
-    skew = np.zeros(len(y))
-
-    def store(t, v):
-        """Record v at t, symmetrized; track each rung's skew."""
-        nonlocal skew
-        skew = np.maximum(skew, _rung_max(v - _T(v)))
-        v = _sym(v)
-        times_desc.append(t)
-        values_desc.append(v)
-        return v
 
     rhs_raw = rhs
 
@@ -292,10 +285,12 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
                 f"a linear solve inside the flow is singular at "
                 f"t = {t:.6g}", t, rung) from None
 
-    # Stored in descending time order, then reversed once at the end.
-    times_desc, values_desc = [], []
+    # Stored as computed, in descending time order; reversed,
+    # symmetrized and measured for skew once, at the end.  The running
+    # state is the symmetrized value.
+    times_desc, values_desc = [nodes[-1]], [y]
     node_pos_desc = [0]
-    y = store(nodes[-1], y)
+    y = _sym(y)
     f = rhs(nodes[-1], y)
 
     for k in range(grid.N, 0, -1):
@@ -306,14 +301,7 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
         while ends:
             t1, depth = ends[-1]
             scale = 1.0 + _rung_max(y)
-            grown = scale > _MAX_GROWTH * scale0
-            if grown.any():
-                # y is an accepted value, so this is genuine growth of
-                # the flow, not a transient of an oversized step
-                raise IntegrationError(
-                    f"solution norm exploded near t = {t0:.6g}; "
-                    "the flow is not regular on this horizon", t0,
-                    int(np.argmax(grown)))
+            _check_escape(scale, scale0, t0)
             h = t1 - t0
             t_mid = t0 + 0.5 * h
             y_full, slope, spread = _rk4_step(rhs, t0, h, y, f)
@@ -324,8 +312,10 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
                 f1 = rhs(t1, y_full)
                 if _rung_finite(f1).all():
                     # the slope at the end is taken before symmetrizing
-                    store(t_mid, hermite_midpoint(y, y_full, f, f1, h))
-                    y, f, t0 = store(t1, y_full), f1, t1
+                    times_desc += (t_mid, t1)
+                    values_desc += (hermite_midpoint(y, y_full, f, f1, h),
+                                    y_full)
+                    y, f, t0 = _sym(y_full), f1, t1
                     ends.pop()
                     continue
 
@@ -341,8 +331,9 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
                 good = (mid_ok & _rung_finite(y_half) & _rung_finite(y_full)
                         & (err <= _RTOL * (1.0 + ynorm)))
             if good.all():
-                store(t_mid, y_half_mid)
-                y, t0 = store(t1, y_half), t1
+                times_desc += (t_mid, t1)
+                values_desc += (y_half_mid, y_half)
+                y, t0 = _sym(y_half), t1
                 f = rhs(t1, y)
                 ends.pop()
                 continue
@@ -362,10 +353,26 @@ def integrate_backward(rhs, grid: TimeGrid, y_terminal: np.ndarray):
             ends[-1] = (t1, depth + 1)
             ends.append((t_mid, depth + 1))
         node_pos_desc.append(len(times_desc) - 1)
+    # the value at t = 0 is accepted too, and may have escaped
+    _check_escape(1.0 + _rung_max(y), scale0, nodes[0])
 
     node_index = len(times_desc) - 1 - np.array(node_pos_desc[::-1])
-    return (np.array(times_desc[::-1]), np.stack(values_desc[::-1]),
-            node_index, skew)
+    values = np.stack(values_desc[::-1])
+    skew = _rung_max(np.moveaxis(values - _T(values), 1, 0))
+    return np.array(times_desc[::-1]), _sym(values), node_index, skew
+
+
+def _check_escape(scale, scale0, t) -> None:
+    """Raise when a rung's accepted value at t has grown beyond
+    ``_MAX_GROWTH`` times its terminal scale; scale is 1 + its norm."""
+    grown = scale > _MAX_GROWTH * scale0
+    if grown.any():
+        # the value is an accepted one, so this is genuine growth of
+        # the flow, not a transient of an oversized step
+        raise IntegrationError(
+            f"solution norm exploded near t = {t:.6g}; "
+            "the flow is not regular on this horizon", t,
+            int(np.argmax(grown)))
 
 
 def _raises_linalg(rhs, t, y) -> bool:

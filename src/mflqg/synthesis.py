@@ -289,9 +289,11 @@ def _march(M, c, h, y0):
     twice at its midpoint, at its end), each (..., S, p, p); c the four
     stage forcings, each (..., S, p, q); h the S signed widths; y0 the
     first value.  Every step is first composed, in a few stacked
-    products, into its affine map y -> Phi y + psi, so the march proper
-    makes one small product per segment.  A homogeneous system (c None)
-    also returns its four stage values, each (..., S, p, q)."""
+    products, into its affine map y -> Phi y + psi.  An inclusive
+    prefix scan then composes the maps of segments 1..k for every k at
+    once, in about 2 log2 S levels of stacked products, not one
+    product per segment.  A homogeneous system (c None) also returns
+    its four stage values, each (..., S, p, q)."""
     h = h[:, None, None]
     eye = np.eye(M[0].shape[-1])
     # stage j's map X_j = I + a_j h K_{j-1}, with K_1 = M1 and K_j =
@@ -303,25 +305,36 @@ def _march(M, c, h, y0):
         Phi += wt * K
     Phi *= h / 6.0
     Phi += eye
-    # the march writes each value in place: no allocation per segment
-    y = np.empty((len(h) + 1,) + y0.shape)
-    y[0] = y0
+    y = np.zeros(y0.shape[:-2] + (len(h) + 1,) + y0.shape[-2:])
+    y[..., 0, :, :] = y0
+    # v[k-1] starts as map k applied to 0 (its psi), map 1's applied to
+    # y0; the scan turns it into y_k = (map k after ... map 1)(y0)
+    v = y[..., 1:, :, :]
+    if c is not None:
+        # psi by the same recursion on the forcings, summed into v
+        k = c[0]
+        v += k
+        for Mj, cj, (a, wt) in zip(M[1:], c[1:], _RK4):
+            k = Mj @ ((a * h) * k) + cj
+            v += wt * k
+        v *= h / 6.0
+    v[..., 0, :, :] += Phi[..., 0, :, :] @ y0
+    # work-efficient scan in place: fold each pair (2i, 2i+1) into 2i+1
+    # (map 2i+1 after map 2i is Phi_o Phi_e, Phi_o psi_e + psi_o) and
+    # repeat on the odd elements; then, coarsest level first, finish
+    # each even element after the complete prefix just before it
+    levels = []
+    while Phi.shape[-3] > 1:
+        odd, even = slice(1, None, 2), slice(0, Phi.shape[-3] - 1, 2)
+        v[..., odd, :, :] += Phi[..., odd, :, :] @ v[..., even, :, :]
+        levels.append((Phi, v))
+        Phi, v = Phi[..., odd, :, :] @ Phi[..., even, :, :], v[..., odd, :, :]
+    for Phi, v in reversed(levels):
+        v[..., 2::2, :, :] += Phi[..., 2::2, :, :] @ v[..., 1:-1:2, :, :]
     if c is None:
-        for P, cur, nxt in zip(np.moveaxis(Phi, -3, 0), y, y[1:]):
-            np.matmul(P, cur, out=nxt)
-        y = np.moveaxis(y, 0, -3)
         start = y[..., :-1, :, :]
         return y, [start] + [Xj @ start for Xj in X]
-    # psi by the same recursion on the forcings
-    k, psi = c[0], c[0].copy()
-    for Mj, cj, (a, wt) in zip(M[1:], c[1:], _RK4):
-        k = Mj @ ((a * h) * k) + cj
-        psi += wt * k
-    psi *= h / 6.0
-    for P, q, cur, nxt in zip(np.moveaxis(Phi, -3, 0),
-                              np.moveaxis(psi, -3, 0), y, y[1:]):
-        np.add(np.matmul(P, cur, out=nxt), q, out=nxt)
-    return np.moveaxis(y, 0, -3)
+    return y
 
 
 def _fill(y, f, h):

@@ -90,6 +90,28 @@ def test_solve_stalled_refinement_exits_numeric():
     assert "segments in one grid interval" in proc.stderr
 
 
+def test_solve_at_the_pole_does_not_pass(capsys):
+    # plain ex61 escapes at t = 0 (P = -1/t).  On N = 41 the flow
+    # crosses the growth bound only in the value stored at t = 0; on
+    # N = 20 it stays under the bound, and the value gap fails instead
+    code, _, cap = run(capsys, "solve", "--example", "61", "--grid", "41")
+    assert code == EXIT_NUMERIC
+    assert "exploded near t = 0;" in cap.err
+    code, rep, _ = run(capsys, "solve", "--example", "61", "--grid", "20")
+    assert code == EXIT_FAIL
+    assert rep["stages"]["value"]["gap"]["value"] > 1e8
+
+
+def test_solve_fails_past_its_tolerances(capsys):
+    args = ("solve", "--example", "61", "--eps", "0.5", "--grid", "40")
+    code, rep, _ = run(capsys, *args)
+    assert code == EXIT_PASS
+    code, rep, _ = run(capsys, *args, "--tol", "1e-30")
+    assert code == EXIT_FAIL
+    stat = rep["stages"]["feedback"]["stationarity_sup"]
+    assert stat["tol"] == 1e-30 < stat["value"]
+
+
 def test_solve_rejects_wrong_state_length(capsys):
     code, _, cap = run(capsys, "solve", "--example", "61", "--eps", "1",
                        "--x", "1,2")

@@ -188,6 +188,16 @@ def test_singular_weight_raises_at_terminal_time():
     assert info.value.t == pytest.approx(1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_trial_steps_do_not_warn():
+    # trial half-steps of this ladder's doubling test overflow; the
+    # integrator rejects them, so numpy's warnings would be noise
+    pairs = mflqg.riccati._solve_pairs(
+        make_example52(), TimeGrid(1.0, 150),
+        EpsSchedule(0.1024, 0.5, 11).values, 0.0)
+    assert len(pairs) == 11
+
+
 def test_mean_solver_grid_and_consistency_guards():
     spec = embed_perturbation(make_example61(), 0.5)
     grid = TimeGrid(1.0, 100)

@@ -9,8 +9,8 @@ from mflqg.model import (DEFAULT_DELTA, CoefficientPath, ControlLaw,
 from mflqg.perturbation import EpsSchedule
 from mflqg.riccati import (GridMismatchError, RegularityError, _eps_shift,
                            _solve_pairs, solve_riccati_pair)
-from mflqg.synthesis import (FeedbackLaw, _direction_shapes,
-                             _feedback_fields, _MomentEngine,
+from mflqg.synthesis import (_RK4, FeedbackLaw, _direction_shapes,
+                             _feedback_fields, _march, _MomentEngine,
                              _open_loop_gradient, _simpson_weights,
                              build_feedback, evaluate_functional,
                              evaluate_functional_mc, propagate_moments,
@@ -533,6 +533,60 @@ def test_moment_march_matches_loop_oracle_on_random_games(n, off):
     _assert_close(eng.form(v), _oracle_form(eng, v))
     _assert_close(_open_loop_gradient(eng, cl, ours[2][0]),
                   _oracle_gradient(eng, cl, ref[2][0]))
+
+
+# The sequential march the prefix scan replaced: the same step maps,
+# applied one segment after another.
+
+def _oracle_march(M, c, h, y0):
+    h = h[:, None, None]
+    eye = np.eye(M[0].shape[-1])
+    X, K, Phi = [], M[0], M[0].copy()
+    for Mj, (a, wt) in zip(M[1:], _RK4):
+        X.append(eye + (a * h) * K)
+        K = Mj @ X[-1]
+        Phi += wt * K
+    Phi *= h / 6.0
+    Phi += eye
+    y = np.empty((len(h) + 1,) + y0.shape)
+    y[0] = y0
+    if c is None:
+        for P, cur, nxt in zip(np.moveaxis(Phi, -3, 0), y, y[1:]):
+            np.matmul(P, cur, out=nxt)
+        y = np.moveaxis(y, 0, -3)
+        start = y[..., :-1, :, :]
+        return y, [start] + [Xj @ start for Xj in X]
+    k, psi = c[0], c[0].copy()
+    for Mj, cj, (a, wt) in zip(M[1:], c[1:], _RK4):
+        k = Mj @ ((a * h) * k) + cj
+        psi += wt * k
+    psi *= h / 6.0
+    for P, q, cur, nxt in zip(np.moveaxis(Phi, -3, 0),
+                              np.moveaxis(psi, -3, 0), y, y[1:]):
+        np.add(np.matmul(P, cur, out=nxt), q, out=nxt)
+    return np.moveaxis(y, 0, -3)
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 7, 8, 1024, 1025])
+def test_march_scan_matches_sequential_oracle(S):
+    # odd and even lengths, powers of two and one past: every shape of
+    # the scan's levels; stage operators of norm about 1 on [0, 1]
+    rng = np.random.default_rng(S)
+    for (p, q), sign in zip([(1, 1), (2, 1), (4, 9), (9, 1), (9, 9)] * 2,
+                            [1.0] * 5 + [-1.0] * 5):
+        M = [rng.standard_normal((3, S, p, p)) / np.sqrt(p)
+             for _ in range(4)]
+        c = [rng.standard_normal((3, S, p, q)) for _ in range(4)]
+        h = sign * rng.uniform(0.5, 1.5, S) / S
+        y0 = rng.standard_normal((3, p, q))
+        ours, ref = _march(M, c, h, y0), _oracle_march(M, c, h, y0)
+        assert ours.shape == ref.shape == (3, S + 1, p, q)
+        _assert_close(ours, ref)
+        (ours, ours_st), (ref, ref_st) = (_march(M, None, h, y0),
+                                          _oracle_march(M, None, h, y0))
+        assert ours.shape == ref.shape and len(ours_st) == len(ref_st) == 4
+        for a, b in zip([ours] + ours_st, [ref] + ref_st):
+            _assert_close(a, b)
 
 
 # ------------------------------------------------- the shared Riccati map
