@@ -22,8 +22,7 @@ from ._integrate import IntegrationError
 from .model import (DEFAULT_DELTA, SYMMETRY_TOL, CoefficientPath,
                     ControlLaw, GameSpec, TimeGrid, embed_perturbation,
                     validate_spec)
-from .riccati import (RegularityError, check_strong_regularity,
-                      solve_riccati_pair, write_riccati_csv)
+from .riccati import RegularityError, solve_riccati_pair, write_riccati_csv
 from .synthesis import (build_feedback, evaluate_functional,
                         evaluate_functional_mc, propagate_moments,
                         stationarity_residual, verify_saddle,
@@ -84,10 +83,18 @@ def load_config(path) -> tuple[GameSpec, dict]:
         raise InputError(f"config is not valid JSON: {exc}") from exc
     try:
         dims = raw["dims"]
-        n, m1, m2 = int(dims["n"]), int(dims["m1"]), int(dims["m2"])
+        n, m1, m2 = (dims[key] for key in ("n", "m1", "m2"))
         horizon = float(raw["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"config needs dims{{n,m1,m2}} and horizon: {exc}")
+    for key, value in (("n", n), ("m1", m1), ("m2", m2)):
+        whole = (isinstance(value, float) and value.is_integer()
+                 or isinstance(value, int) and not isinstance(value, bool))
+        if not whole:
+            raise InputError(f"dims.{key} must be an integer, got {value!r}")
+    n, m1, m2 = int(n), int(m1), int(m2)
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise InputError(f"horizon must be positive and finite, got {horizon}")
     kw = {}
     for name, obj in (raw.get("coefficients") or {}).items():
         kw[name] = _path_from_config(obj, horizon, f"coefficients.{name}")
@@ -213,13 +220,13 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     P, Pi = solve_riccati_pair(spec, grid, delta=args.delta)
     t_riccati = time.perf_counter() - t0
-    reg = check_strong_regularity(P, spec, delta=args.delta)
+    # Pi's margins are those of the barred weight along P
     stages["riccati"] = {
-        "strongly_regular": P.strongly_regular and reg.passed,
-        "margins": {"player_1": float(reg.margin_1.min()),
-                    "player_2": float(reg.margin_2.min()),
-                    "mean_player_1": float(reg.margin_1_bar.min()),
-                    "mean_player_2": float(reg.margin_2_bar.min()),
+        "strongly_regular": P.strongly_regular and Pi.strongly_regular,
+        "margins": {"player_1": float(P.regularity_margin_1.min()),
+                    "player_2": float(P.regularity_margin_2.min()),
+                    "mean_player_1": float(Pi.regularity_margin_1.min()),
+                    "mean_player_2": float(Pi.regularity_margin_2.min()),
                     "required_at_least": args.delta},
         "residual": {"value": P.residual_norm,
                      "note": "midpoint defect of the stage-wise flow"},
@@ -393,6 +400,8 @@ def _load_candidate(path, spec: GameSpec, grid: TimeGrid) -> ControlLaw:
     if table.dtype.names is None or "t" not in table.dtype.names:
         raise InputError("candidate CSV needs a header with a t column")
     table = np.atleast_1d(table)
+    if not table.shape[0]:
+        raise InputError("candidate CSV has no rows")
     cols = table.dtype.names
 
     def column(name):

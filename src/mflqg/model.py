@@ -44,9 +44,7 @@ __all__ = [
     "TimeGrid",
     "ControlLaw",
     "ValidationReport",
-    "eval_coefficient",
     "validate_spec",
-    "specialize_no_meanfield",
     "embed_perturbation",
 ]
 
@@ -56,8 +54,6 @@ SYMMETRY_TOL = 1e-12
 DEFAULT_DELTA = 1e-8
 # Condition-number ceiling beyond which weight inversions abort.
 CONDITION_LIMIT = 1e12
-
-_KINDS = ("constant", "piecewise", "polynomial")
 
 
 def _frozen(a) -> np.ndarray:
@@ -130,7 +126,8 @@ class CoefficientPath:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, t: float) -> np.ndarray:
-        """Value at time t (no range check; see eval_coefficient)."""
+        """Value at time t; piecewise paths are right-continuous, and
+        times outside [0, horizon] are not checked."""
         if self.kind == "constant":
             return self.payload[0]
         if self.kind == "piecewise":
@@ -187,35 +184,6 @@ class CoefficientPath:
         if self.kind == "piecewise":
             return self.payload[1]
         return self.payload[0]
-
-    @property
-    def is_constant_zero(self) -> bool:
-        return self.kind == "constant" and not np.any(self.payload[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoefficientPath):
-            return NotImplemented
-        if (self.kind, self.rows, self.cols, self.horizon) != (
-                other.kind, other.rows, other.cols, other.horizon):
-            return False
-        return all(np.array_equal(a, b)
-                   for a, b in zip(self.payload, other.payload))
-
-    def __hash__(self):
-        return hash((self.kind, self.rows, self.cols, self.horizon))
-
-
-def eval_coefficient(path: CoefficientPath, t: float) -> np.ndarray:
-    """Evaluate a coefficient path at time t, enforcing 0 <= t <= horizon.
-
-    Piecewise paths are right-continuous: at a breakpoint the value of
-    the segment starting there applies, and the last segment extends to
-    the horizon.
-    """
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError(
-            f"time {t!r} outside [0, {path.horizon}]")
-    return path.eval(float(t))
 
 
 def _as_path(value, rows: int, cols: int, horizon: float) -> CoefficientPath:
@@ -416,27 +384,6 @@ class ControlLaw:
         return cls(times=_frozen(times), gain=_frozen(np.zeros((K, m, n))),
                    mean_gain=_frozen(np.zeros((K, m, n))), offset=_frozen(off))
 
-    @classmethod
-    def from_node_values(cls, spec: GameSpec, grid: TimeGrid, gain=None,
-                         mean_gain=None, offset=None) -> "ControlLaw":
-        """Law from node samples; midpoints are filled by averaging."""
-        m, n, N = spec.m, spec.n, grid.N
-
-        def _lift(arr, shape):
-            full = np.zeros((2 * N + 1,) + shape)
-            if arr is not None:
-                a = np.asarray(arr, dtype=float)
-                if a.shape != (N + 1,) + shape:
-                    raise ValueError(f"node array must be (N+1,){shape}")
-                full[::2] = a
-                full[1::2] = 0.5 * (a[:-1] + a[1:])
-            return full
-
-        return cls(times=_frozen(grid.half_times),
-                   gain=_frozen(_lift(gain, (m, n))),
-                   mean_gain=_frozen(_lift(mean_gain, (m, n))),
-                   offset=_frozen(_lift(offset, (m,))))
-
     def with_bump(self, spec: GameSpec, player: int, values: np.ndarray,
                   lam: float) -> "ControlLaw":
         """New law whose offset gains lam * values in one player's block.
@@ -521,24 +468,6 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
 
     return ValidationReport(passed=not failures, failures=tuple(failures),
                             warnings=tuple(warnings))
-
-
-def specialize_no_meanfield(spec: GameSpec) -> GameSpec:
-    """Copy of the game with every barred coefficient and weight zeroed."""
-    T = spec.T
-    co = spec.coefficients
-    zero_like = lambda p: CoefficientPath.zero(p.rows, p.cols, T)
-    coeffs = dataclasses.replace(
-        co, Abar=zero_like(co.Abar), B1bar=zero_like(co.B1bar),
-        B2bar=zero_like(co.B2bar), Cbar=zero_like(co.Cbar),
-        D1bar=zero_like(co.D1bar), D2bar=zero_like(co.D2bar))
-    w = spec.weights
-    weights = dataclasses.replace(
-        w, Gbar=_frozen(np.zeros_like(w.Gbar)), Qbar=zero_like(w.Qbar),
-        S1bar=zero_like(w.S1bar), S2bar=zero_like(w.S2bar),
-        R11bar=zero_like(w.R11bar), R12bar=zero_like(w.R12bar),
-        R22bar=zero_like(w.R22bar))
-    return dataclasses.replace(spec, coefficients=coeffs, weights=weights)
 
 
 def embed_perturbation(spec: GameSpec, eps: float) -> GameSpec:

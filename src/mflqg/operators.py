@@ -125,14 +125,6 @@ class OperatorSection:
     m1: int
     m2: int
 
-    @property
-    def basis_dim_1(self) -> int:
-        return self.m1 * self.blocks
-
-    @property
-    def basis_dim_2(self) -> int:
-        return self.m2 * self.blocks
-
     def value(self, x, coeff) -> float:
         """Functional value at initial state x and basis combination."""
         xv = np.asarray(x, dtype=float).reshape(-1)

@@ -36,25 +36,18 @@ from functools import partial
 
 import numpy as np
 
-from ._integrate import (CoefficientCache, IntegrationError, _sym, _T,
-                         _TimeArrays, integrate_backward, stage_times)
+from ._integrate import (CoefficientCache, IntegrationError, _T, _TimeArrays,
+                         integrate_backward, stage_times)
 from .model import CONDITION_LIMIT, DEFAULT_DELTA, GameSpec, TimeGrid
 
 __all__ = [
     "RegularityError",
     "GridMismatchError",
     "RiccatiSolution",
-    "DGWeights",
-    "RegularityReport",
     "ComparisonReport",
-    "solve_game_riccati",
     "solve_control_riccati",
-    "solve_mean_riccati",
     "solve_riccati_pair",
-    "assemble_dg_weights",
-    "check_strong_regularity",
     "check_comparison",
-    "riccati_residual",
     "write_riccati_csv",
 ]
 
@@ -79,12 +72,11 @@ class RiccatiSolution:
     partition produced by the integrator (segment boundaries at even
     indices, segment midpoints at odd ones); ``node_index`` locates
     the grid nodes inside it.  ``values`` restricts to the nodes.
-    ``companion_fine`` is populated on mean-equation solutions and
-    holds the game solution P aligned with ``times``.
+    ``regularity_margin_i`` holds the smallest eigenvalue of player
+    i's signed block of the equation's weight at each node.
     """
 
     grid: TimeGrid
-    kind: str
     times: np.ndarray
     values_fine: np.ndarray
     node_index: np.ndarray
@@ -92,85 +84,11 @@ class RiccatiSolution:
     regularity_margin_2: np.ndarray
     residual_norm: float
     strongly_regular: bool
-    delta: float
     asymmetry_sup: float
-    companion_fine: np.ndarray | None = None
 
     @property
     def values(self) -> np.ndarray:
         return self.values_fine[self.node_index]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values_fine[-1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.values_fine[0]
-
-    @property
-    def companion_values(self) -> np.ndarray | None:
-        if self.companion_fine is None:
-            return None
-        return self.companion_fine[self.node_index]
-
-    @classmethod
-    def from_constant(cls, grid: TimeGrid, matrix,
-                      kind: str = "manual") -> "RiccatiSolution":
-        M = np.asarray(matrix, dtype=float)
-        return cls.from_callable(grid, lambda t: M, kind=kind)
-
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn,
-                      kind: str = "manual") -> "RiccatiSolution":
-        """Sample an explicit matrix path on the half-grid.
-
-        Margins and residuals are not computed here; use
-        check_strong_regularity / riccati_residual on the result.
-        """
-        times = grid.half_times
-        vals = np.stack([_sym(np.asarray(fn(t), dtype=float)) for t in times])
-        nan = np.full(grid.N + 1, np.nan)
-        return cls(grid=grid, kind=kind, times=np.array(times),
-                   values_fine=vals,
-                   node_index=np.arange(0, 2 * grid.N + 1, 2),
-                   regularity_margin_1=nan, regularity_margin_2=nan,
-                   residual_norm=float("nan"), strongly_regular=False,
-                   delta=float("nan"), asymmetry_sup=0.0)
-
-
-@dataclass(frozen=True)
-class DGWeights:
-    """Mean-equation weight paths assembled from the game solution P.
-
-    upsilon  = Q + Qbar + (C+Cbar)' P (C+Cbar)
-    gamma_i  = (Di+Dibar)' P (C+Cbar) + (Si+Sibar)
-    sigma_bar = R + Rbar + (D+Dbar)' P (D+Dbar), 2x2-blocked in players.
-    """
-
-    grid: TimeGrid
-    upsilon: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    sigma_bar: np.ndarray
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Nodewise strong-regularity margins for a candidate P path.
-
-    margin_1 / margin_2 are the smallest eigenvalues of the signed
-    plain blocks (-1)^(i+1) [R_ii + Di' P Di]; margin_1_bar /
-    margin_2_bar use the barred blocks with (D_i + D_ibar) and
-    R_ii + R_iibar.  passed requires all four >= delta at every node.
-    """
-
-    delta: float
-    margin_1: np.ndarray
-    margin_2: np.ndarray
-    margin_1_bar: np.ndarray
-    margin_2_bar: np.ndarray
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -293,15 +211,14 @@ def _midpoint_index(times, node_index):
     return j - back.astype(int)
 
 
-def _solution(grid, delta, kind, times, fine, node_index, mu1, mu2,
-              residual, asym, companion=None) -> "RiccatiSolution":
+def _solution(grid, delta, times, fine, node_index, mu1, mu2, residual,
+              asym) -> "RiccatiSolution":
     regular = bool(np.min(mu1) >= delta and np.min(mu2) >= delta)
     return RiccatiSolution(
-        grid=grid, kind=kind, times=times, values_fine=fine,
-        node_index=node_index, regularity_margin_1=mu1,
-        regularity_margin_2=mu2, residual_norm=float(residual),
-        strongly_regular=regular, delta=delta, asymmetry_sup=asym,
-        companion_fine=companion)
+        grid=grid, times=times, values_fine=fine, node_index=node_index,
+        regularity_margin_1=mu1, regularity_margin_2=mu2,
+        residual_norm=float(residual), strongly_regular=regular,
+        asymmetry_sup=asym)
 
 
 def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
@@ -340,43 +257,6 @@ def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
 # public solvers
 # ----------------------------------------------------------------------
 
-def solve_game_riccati(spec: GameSpec, grid: TimeGrid,
-                       delta: float = DEFAULT_DELTA) -> RiccatiSolution:
-    """Solve the game Riccati equation backward from P(T) = G.
-
-    Parameters
-    ----------
-    spec : GameSpec
-        Validated game description.
-    grid : TimeGrid
-        Output grid; integration refines inside intervals as needed,
-        to the integrator's fixed step-doubling tolerance.
-    delta : float
-        Margin the signed weight blocks must keep for the solution to
-        be flagged strongly regular.
-
-    Returns
-    -------
-    RiccatiSolution
-        With nodewise margins lambda_min(R11 + D1' P D1) and
-        lambda_min(-(R22 + D2' P D2)), the midpoint defect norm, and
-        the refined sample path.
-
-    Raises
-    ------
-    RegularityError
-        If a weight block becomes numerically singular on the horizon
-        or the flow blows up before t = 0.
-    """
-    ta_n = _TimeArrays(spec, grid.nodes)
-    times, values, node_index, Sig, res, asym = _solve(
-        spec, grid, ta_n, _half_view, ta_n.G[None],
-        ("the stacked control weight",))
-    return _solution(grid, delta, "game", times, values[:, 0], node_index,
-                     *_signed_block_margins(Sig[:, 0], spec.m1), res[0],
-                     asym[0])
-
-
 def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
                           delta: float = DEFAULT_DELTA) -> RiccatiSolution:
     """Solve the single-channel Riccati equation of one player.
@@ -397,8 +277,8 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     sign = 1.0 if player == 1 else -1.0
     mu, mub = np.linalg.eigvalsh(
         sign * np.stack((Sig[:, 0], Sigb[:, 0])))[..., 0]
-    return _solution(grid, delta, f"control-{player}", times, values[:, 0],
-                     node_index, mu, mub, res[0], asym[0])
+    return _solution(grid, delta, times, values[:, 0], node_index, mu, mub,
+                     res[0], asym[0])
 
 
 def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
@@ -407,8 +287,9 @@ def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
 
     The pair is integrated jointly so the mean equation sees the game
     solution exactly at every internal stage, layers included.
-    Returns (P, Pi) as RiccatiSolutions on a shared refined partition;
-    Pi carries P as its companion path.
+    Returns (P, Pi) as RiccatiSolutions on a shared refined partition.
+    Pi's margins are those of the barred weight R + Rbar + (D+Dbar)' P
+    (D+Dbar), so both flags together are the strong regularity of P.
     """
     return _solve_pairs(spec, grid, None, delta)[0]
 
@@ -438,63 +319,12 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float) -> list:
     mu1, mu2 = _signed_block_margins(Sig, spec.m1)
     out = []
     for e in range(E):
-        P_fine = values[:, e, 0]
-        P_sol = _solution(grid, delta, "game", times, P_fine, node_index,
+        P_sol = _solution(grid, delta, times, values[:, e, 0], node_index,
                           mu1[:, e, 0], mu2[:, e, 0], res[e, 0], asym[e])
-        Pi_sol = _solution(grid, delta, "mean", times, values[:, e, 1],
-                           node_index, mu1[:, e, 1], mu2[:, e, 1], res[e, 1],
-                           asym[e], companion=P_fine)
+        Pi_sol = _solution(grid, delta, times, values[:, e, 1], node_index,
+                           mu1[:, e, 1], mu2[:, e, 1], res[e, 1], asym[e])
         out.append((P_sol, Pi_sol))
     return out
-
-
-def solve_mean_riccati(spec: GameSpec, P: RiccatiSolution, grid: TimeGrid,
-                       delta: float = DEFAULT_DELTA) -> RiccatiSolution:
-    """Solve the mean Riccati equation for Pi given the game solution P.
-
-    P must be the game solution on the same grid; the pair is
-    re-integrated jointly (the precondition pins P down, and joint
-    integration is the only way to know P inside refined stages), then
-    cross-checked against the provided node values.
-    """
-    if not np.array_equal(P.grid.nodes, grid.nodes):
-        raise GridMismatchError("P was solved on a different grid")
-    P_pair, Pi = solve_riccati_pair(spec, grid, delta=delta)
-    scale = 1.0 + float(np.max(np.abs(P_pair.values)))
-    gap = float(np.max(np.abs(P_pair.values - P.values)))
-    if gap > 1e-6 * scale:
-        raise ValueError(
-            "provided P does not solve the game equation on this grid "
-            f"(node mismatch {gap:.3e})")
-    return Pi
-
-
-def assemble_dg_weights(spec: GameSpec, P: RiccatiSolution,
-                        grid: TimeGrid) -> DGWeights:
-    """Evaluate the mean-equation weight paths at the grid nodes."""
-    if not np.array_equal(P.grid.nodes, grid.nodes):
-        raise GridMismatchError("P was solved on a different grid")
-    ta = _TimeArrays(spec, grid.nodes)
-    Pv, m1 = P.values, spec.m1
-    PCs = Pv @ ta.Csum
-    DtPC = _T(ta.Dsum) @ PCs + ta.Ssum
-    return DGWeights(grid=grid, upsilon=_sym(ta.Qsum + _T(ta.Csum) @ PCs),
-                     gamma1=DtPC[:, :m1], gamma2=DtPC[:, m1:],
-                     sigma_bar=_sym(ta.Rsum + _T(ta.Dsum) @ Pv @ ta.Dsum))
-
-
-def check_strong_regularity(P: RiccatiSolution, spec: GameSpec,
-                            delta: float = DEFAULT_DELTA) -> RegularityReport:
-    """Nodewise signed margins of the plain and barred weight blocks."""
-    # both weights at once, Sigma and Sigma-bar; neither reads Pi
-    _, Sig = _pair_terms(_TimeArrays(spec, P.grid.nodes), P.values,
-                         P.values, np.zeros((1, spec.m, spec.m)))
-    (m1p, m1b), (m2p, m2b) = _signed_block_margins(
-        Sig[:, 0].swapaxes(0, 1), spec.m1)
-    passed = bool(min(m1p.min(), m2p.min(), m1b.min(), m2b.min()) >= delta)
-    return RegularityReport(delta=delta, margin_1=m1p, margin_2=m2p,
-                            margin_1_bar=m1b, margin_2_bar=m2b,
-                            passed=passed)
 
 
 def check_comparison(P: RiccatiSolution, P1: RiccatiSolution,
@@ -509,31 +339,6 @@ def check_comparison(P: RiccatiSolution, P1: RiccatiSolution,
     passed = bool(lower.min() >= -tol and upper.min() >= -tol)
     return ComparisonReport(margin_lower=lower, margin_upper=upper,
                             tol=tol, passed=passed)
-
-
-def riccati_residual(P: RiccatiSolution, spec: GameSpec, which: str) -> float:
-    """Sup Frobenius defect of a path in one of the Riccati equations.
-
-    ``which`` is one of "Ric1" (game), "Ric2" (mean; requires the
-    companion game path on P), "Ric-1", "Ric-2" (single channels).
-    The time derivative is approximated by central differences at
-    interior nodes.
-    """
-    vals, ta = P.values, _TimeArrays(spec, P.grid.nodes[1:-1])
-    inner = vals[1:-1, None]        # one rung of the (K, 1, ...) views
-    if which == "Ric1":
-        slope = _slope(*_half_view(ta), inner, inner)
-    elif which in ("Ric-1", "Ric-2"):
-        slope = _slope(*_control_view(ta, int(which[-1])), inner, inner)
-    elif which == "Ric2":
-        comp = P.companion_values
-        if comp is None:
-            raise ValueError("Ric2 residual needs the companion game path")
-        slope = _slope(*_half_view(ta, 1), inner, comp[1:-1, None])
-    else:
-        raise ValueError(f"unknown equation tag {which!r}")
-    defect = (vals[2:] - vals[:-2]) / (2.0 * P.grid.h) - slope[:, 0]
-    return float(np.max(np.linalg.norm(defect, axis=(1, 2)), initial=0.0))
 
 
 def write_riccati_csv(sol: RiccatiSolution, path) -> None:

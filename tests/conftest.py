@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mflqg.riccati
+from mflqg._integrate import _TimeArrays
 from mflqg.model import (CoefficientPath, GameSpec, TimeGrid,
                          embed_perturbation)
 from mflqg.riccati import RegularityError, solve_control_riccati, \
@@ -110,6 +112,17 @@ def draw_regular(rng: np.random.Generator, grid: TimeGrid, extra=()):
         except RegularityError:
             continue
         return (spec, x, P, Pi, *others)
+
+
+def solve_game(spec: GameSpec, grid: TimeGrid):
+    """The game equation alone, backward from P(T) = G, through the
+    solvers' shared tail: (times, fine values, node index).  It is the
+    oracle of the pair solve's P and of every ladder rung's."""
+    ta_n = _TimeArrays(spec, grid.nodes)
+    times, values, node_index = mflqg.riccati._solve(
+        spec, grid, ta_n, mflqg.riccati._half_view, ta_n.G[None],
+        ("the stacked control weight",))[:3]
+    return times, values[:, 0], node_index
 
 
 @pytest.fixture

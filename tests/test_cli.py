@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import mflqg
-from mflqg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_PASS, main
+from mflqg.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_PASS,
+                       load_config, main)
+from mflqg.model import TimeGrid, embed_perturbation
+from mflqg.riccati import solve_riccati_pair
 
 
 def _strict(constant):
@@ -58,6 +61,25 @@ def test_solve_outputs_are_deterministic(capsys, tmp_path):
     assert strip_timings(rep_a) == strip_timings(rep_b)
     for name in ("riccati.csv", "feedback.csv", "moments.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_solve_reports_the_pair_solves_margins(capsys):
+    code, rep, _ = run(capsys, "solve", "--example", "61", "--eps", "0.5",
+                       "--grid", "200")
+    assert code == EXIT_PASS
+    spec, _ = load_config(Path(mflqg.__file__).parent / "data"
+                          / "example61.json")
+    P, Pi = solve_riccati_pair(embed_perturbation(spec, 0.5),
+                               TimeGrid(1.0, 200))
+    riccati = rep["stages"]["riccati"]
+    assert P.strongly_regular and Pi.strongly_regular
+    assert riccati["strongly_regular"] is True
+    margins = dict(riccati["margins"])
+    assert margins.pop("required_at_least") == 1e-8
+    assert margins == {"player_1": P.regularity_margin_1.min(),
+                       "player_2": P.regularity_margin_2.min(),
+                       "mean_player_1": Pi.regularity_margin_1.min(),
+                       "mean_player_2": Pi.regularity_margin_2.min()}
 
 
 def test_solve_reports_breakdown_without_embedding(capsys):
@@ -298,6 +320,16 @@ def test_verify_rejects_non_numeric_cell(capsys, tmp_path):
     assert "offset_0" in cap.err
 
 
+def test_verify_rejects_candidate_without_rows(capsys, tmp_path):
+    cand = tmp_path / "cand.csv"
+    cand.write_text("t,offset_0,offset_1\n")
+    code, rep, cap = run(capsys, "verify", "--example", "52",
+                         "--candidate", str(cand))
+    assert code == EXIT_INPUT
+    assert rep is None
+    assert "candidate CSV has no rows" in cap.err
+
+
 def test_verify_rejects_unsorted_times(capsys, tmp_path):
     times = np.array([0.0, 0.5, 0.25, 1.0])
     offsets = np.zeros((4, 2))
@@ -373,6 +405,29 @@ def test_unknown_coefficient_name(capsys, tmp_path):
     bad.write_text(json.dumps(cfg))
     code, _, cap = run(capsys, "solve", "--config", str(bad))
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("horizon", 0, "horizon must be positive and finite"),
+    ("horizon", -1, "horizon must be positive and finite"),
+    ("horizon", float("nan"), "horizon must be positive and finite"),
+    ("dims", {"n": 1.7, "m1": 1, "m2": 1}, "dims.n must be an integer"),
+], ids=["horizon-zero", "horizon-negative", "horizon-nan", "dims-fraction"])
+def test_bad_config_values_are_input_errors(capsys, tmp_path, key, value,
+                                            message):
+    cfg = {"dims": {"n": 1, "m1": 1, "m2": 1}, "horizon": 1.0,
+           "coefficients": {"B1": {"kind": "constant", "data": [[1.0]]}},
+           "weights": {"G": [[-1.0]],
+                       "R11": {"kind": "constant", "data": [[1.0]]}}}
+    cfg[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    for command in ("solve", "check", "perturb"):
+        code, rep, cap = run(capsys, command, "--config", str(bad),
+                             "--grid", "20")
+        assert code == EXIT_INPUT, command
+        assert rep is None
+        assert message in cap.err, command
 
 
 def test_unknown_path_kind(capsys, tmp_path):

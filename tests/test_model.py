@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflqg.model import (CoefficientPath, ControlLaw, GameSpec, TimeGrid,
-                         embed_perturbation, eval_coefficient,
-                         specialize_no_meanfield, validate_spec)
+                         embed_perturbation, validate_spec)
 
 from conftest import make_example52, make_example61
 
@@ -79,15 +78,6 @@ def test_sample_equals_eval_bitwise(path):
         assert row.tobytes() == path.eval(float(t)).tobytes(), t
 
 
-def test_eval_coefficient_enforces_range():
-    p = CoefficientPath.constant([[1.0]], 1.0)
-    with pytest.raises(ValueError):
-        eval_coefficient(p, -0.1)
-    with pytest.raises(ValueError):
-        eval_coefficient(p, 1.1)
-    assert eval_coefficient(p, 1.0)[0, 0] == 1.0
-
-
 def test_add_constant_all_kinds():
     shift = np.array([[10.0]])
     const = CoefficientPath.constant([[1.0]], 1.0)
@@ -124,9 +114,9 @@ def test_from_matrices_rejects_bad_shape():
 
 def test_omitted_blocks_default_to_zero(example61):
     co = example61.coefficients
-    assert co.A.is_constant_zero
-    assert co.D1.is_constant_zero
-    assert not co.B1.is_constant_zero
+    assert not np.any(co.A.stored_matrices())
+    assert not np.any(co.D1.stored_matrices())
+    assert np.any(co.B1.stored_matrices())
     assert example61.m == 2
 
 
@@ -177,15 +167,6 @@ def test_embed_is_additive(example61):
                                    once.weights.R22.eval(t), atol=1e-15)
 
 
-def test_specialize_no_meanfield(example61):
-    plain = specialize_no_meanfield(example61)
-    assert plain.weights.R22bar.is_constant_zero
-    assert not np.any(plain.weights.Gbar)
-    # unbarred data is untouched
-    np.testing.assert_array_equal(plain.weights.G, example61.weights.G)
-    assert plain.coefficients.B1 == example61.coefficients.B1
-
-
 # ----------------------------------------------------------- time grid
 
 def test_time_grid_basic():
@@ -223,16 +204,6 @@ def test_from_offset_rejects_misaligned_array(example52):
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError):
         ControlLaw.from_offset(example52, grid, np.zeros((20, 2)))
-
-
-def test_from_node_values_midpoint_average(example52):
-    grid = TimeGrid(1.0, 4)
-    nodes = np.linspace(0.0, 1.0, 5)
-    off = np.stack([nodes, -nodes], axis=1)
-    law = ControlLaw.from_node_values(example52, grid, offset=off)
-    np.testing.assert_allclose(law.offset[::2], off)
-    np.testing.assert_allclose(law.offset[1::2, 0],
-                               0.5 * (nodes[:-1] + nodes[1:]))
 
 
 def test_with_bump_targets_one_player(example52):

@@ -45,7 +45,7 @@ def test_single_window_section_is_exact():
     np.testing.assert_allclose(sec.m_section.matrix, want_m, atol=1e-12)
     np.testing.assert_allclose(sec.k_section, [[-1.0], [0.0]], atol=1e-12)
     np.testing.assert_allclose(sec.o_section, [[-1.0]], atol=1e-12)
-    assert sec.basis_dim_1 == sec.basis_dim_2 == 1
+    assert sec.m_section.d1 == sec.m_section.d2 == 1
 
 
 def test_section_value_matches_direct_evaluation():
@@ -62,7 +62,7 @@ def _polarized(spec, sec):
     """The section's form entry by entry, by polarization of direct
     evaluations: z' H z = J(x; sum_a c_a e_a) for z = (x, c)."""
     n = spec.n
-    p = n + sec.basis_dim_1 + sec.basis_dim_2
+    p = n + sec.m_section.d1 + sec.m_section.d2
 
     def J(z):
         law = sec.basis_law(spec, z[n:])
@@ -295,6 +295,6 @@ def test_write_section_csv(tmp_path):
     write_section_csv(sec, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "part,i,j,value"
-    d = sec.basis_dim_1 + sec.basis_dim_2
+    d = sec.m_section.d1 + sec.m_section.d2
     assert len(lines) == 1 + d * d + d * 1 + 1 * 1
     assert lines[1].startswith("M,0,0,")

@@ -9,13 +9,12 @@ from mflqg.perturbation import (EpsSchedule, _chain_distances, _law_parts,
                                 _sample, _stage_times, build_eps_iterate,
                                 classify_family, control_distance,
                                 write_family_csv)
-from mflqg.riccati import (RegularityError, solve_game_riccati,
-                           solve_riccati_pair)
+from mflqg.riccati import RegularityError, solve_riccati_pair
 from mflqg.synthesis import (build_feedback, evaluate_functional,
                              propagate_moments, verify_saddle)
 
 from conftest import (draw_regular, make_example52, make_example61,
-                      random_instance)
+                      random_instance, solve_game)
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +110,8 @@ def test_ladder_rungs_match_one_rung_oracle(make, sched, N):
         np.testing.assert_allclose(ref.mean_riccati.values_fine,
                                    Pi.values_fine, rtol=1e-12, atol=0.0)
         # the game solver alone, through its own rhs, reproduces P
-        Pg = solve_game_riccati(embed_perturbation(spec, it.eps), grid)
-        np.testing.assert_allclose(P.values_fine, Pg.values_fine,
-                                   rtol=1e-12, atol=0.0)
+        Pg = solve_game(embed_perturbation(spec, it.eps), grid)[1]
+        np.testing.assert_allclose(P.values_fine, Pg, rtol=1e-12, atol=0.0)
         assert np.array_equal(it.feedback.times, times)
         np.testing.assert_allclose(it.riccati.values, ref.riccati.values,
                                    rtol=1e-8, atol=0.0)

@@ -11,14 +11,12 @@ import mflqg.riccati
 from mflqg._integrate import _TimeArrays, integrate_backward, stage_times
 from mflqg.model import GameSpec, TimeGrid, embed_perturbation
 from mflqg.perturbation import EpsSchedule
-from mflqg.riccati import (GridMismatchError, RegularityError,
-                           RiccatiSolution, assemble_dg_weights,
-                           check_comparison, check_strong_regularity,
-                           riccati_residual, solve_control_riccati,
-                           solve_game_riccati, solve_mean_riccati,
-                           solve_riccati_pair, write_riccati_csv)
+from mflqg.riccati import (RegularityError, check_comparison,
+                           solve_control_riccati, solve_riccati_pair,
+                           write_riccati_csv)
 
-from conftest import make_example52, make_example61, random_instance
+from conftest import (make_example52, make_example61, random_instance,
+                      solve_game)
 
 
 def _analytic_61(eps):
@@ -45,27 +43,25 @@ def test_example61_margins_are_analytic():
     eps = 1.0
     spec = embed_perturbation(make_example61(), eps)
     grid = TimeGrid(1.0, 200)
-    P, _ = solve_riccati_pair(spec, grid)
-    rep = check_strong_regularity(P, spec)
+    P, Pi = solve_riccati_pair(spec, grid)
     s = grid.nodes
     Pex = _analytic_61(eps)(s)
-    np.testing.assert_allclose(rep.margin_1, np.full_like(s, 1.0 + eps),
-                               atol=1e-9)
-    np.testing.assert_allclose(rep.margin_2, eps - Pex, atol=1e-8)
-    np.testing.assert_allclose(rep.margin_2_bar, (1.0 + eps) - Pex,
+    np.testing.assert_allclose(P.regularity_margin_1,
+                               np.full_like(s, 1.0 + eps), atol=1e-9)
+    np.testing.assert_allclose(P.regularity_margin_2, eps - Pex, atol=1e-8)
+    np.testing.assert_allclose(Pi.regularity_margin_1,
+                               np.full_like(s, 1.0 + eps), atol=1e-9)
+    np.testing.assert_allclose(Pi.regularity_margin_2, (1.0 + eps) - Pex,
                                atol=1e-8)
-    assert rep.passed
+    assert P.strongly_regular and Pi.strongly_regular
 
 
 def test_pair_agrees_with_separate_game_solve():
     spec = embed_perturbation(make_example61(), 0.5)
     grid = TimeGrid(1.0, 400)
     P_pair, Pi = solve_riccati_pair(spec, grid)
-    P_solo = solve_game_riccati(spec, grid)
-    assert np.max(np.abs(P_pair.values - P_solo.values)) <= 1e-9
-    assert Pi.companion_values is not None
-    np.testing.assert_allclose(Pi.companion_values, P_pair.values,
-                               atol=1e-12)
+    _, P_solo, node_index = solve_game(spec, grid)
+    assert np.max(np.abs(P_pair.values - P_solo[node_index])) <= 1e-9
 
 
 def test_mean_equation_reduces_without_mean_field():
@@ -131,15 +127,27 @@ def test_comparison_brackets_game_solution():
 
 # --------------------------------------------------------- residuals
 
+def _residual(spec, grid, values, companion=None):
+    """Sup Frobenius defect of node values in the game equation, or in
+    the mean equation along the game path ``companion``: central
+    differences at interior nodes against the written-out slopes of
+    the fused-slope oracle below."""
+    st = _TimeArrays(spec, grid.nodes[1:-1])
+    Y = values[1:-1]
+    slope = (_game_slope(st, st.R, Y) if companion is None
+             else _mean_slope(st, st.Rsum, companion[1:-1], Y))
+    defect = (values[2:] - values[:-2]) / (2.0 * grid.h) - slope
+    return float(np.max(np.linalg.norm(defect, axis=(1, 2)), initial=0.0))
+
+
 def test_residual_of_analytic_path_vanishes_with_grid():
     eps = 0.5
     spec = embed_perturbation(make_example61(), eps)
-    fn = _analytic_61(eps)
     res = []
     for N in (100, 200, 400):
-        sol = RiccatiSolution.from_callable(TimeGrid(1.0, N),
-                                            lambda t: [[fn(t)]])
-        res.append(riccati_residual(sol, spec, "Ric1"))
+        grid = TimeGrid(1.0, N)
+        values = _analytic_61(eps)(grid.nodes)[:, None, None]
+        res.append(_residual(spec, grid, values))
     assert res[0] <= 5e-3
     # central differences are second order; 4x the grid shrinks by ~16
     assert res[2] <= res[0] / 10.0
@@ -147,32 +155,21 @@ def test_residual_of_analytic_path_vanishes_with_grid():
 
 def test_residual_flags_wrong_path():
     spec = embed_perturbation(make_example61(), 0.5)
-    sol = RiccatiSolution.from_constant(TimeGrid(1.0, 100), [[-1.0]])
-    assert riccati_residual(sol, spec, "Ric1") > 0.1
+    grid = TimeGrid(1.0, 100)
+    assert _residual(spec, grid, np.full((grid.N + 1, 1, 1), -1.0)) > 0.1
 
 
 def test_mean_residual_needs_companion():
+    # Pi solves the mean equation along P, and not along another path;
+    # example 61's mean equation does not see P, so a random game shows it
+    grid = TimeGrid(1.0, 100)
     spec = embed_perturbation(make_example61(), 0.5)
-    grid = TimeGrid(1.0, 100)
     P, Pi = solve_riccati_pair(spec, grid)
-    assert riccati_residual(Pi, spec, "Ric2") <= 5e-3
-    with pytest.raises(ValueError, match="companion"):
-        riccati_residual(P, spec, "Ric2")
-    with pytest.raises(ValueError, match="unknown"):
-        riccati_residual(P, spec, "Ric3")
-
-
-def test_dg_weights_scalar_identity():
-    eps = 1.0
-    spec = embed_perturbation(make_example61(), eps)
-    grid = TimeGrid(1.0, 100)
-    P, _ = solve_riccati_pair(spec, grid)
-    dgw = assemble_dg_weights(spec, P, grid)
-    Pex = _analytic_61(eps)(grid.nodes)
-    # barred stacked weight: diag(R11+eps, R22-eps+R22bar + P)
-    np.testing.assert_allclose(dgw.sigma_bar[:, 0, 0], 2.0, atol=1e-9)
-    np.testing.assert_allclose(dgw.sigma_bar[:, 1, 1], Pex - 2.0, atol=1e-8)
-    np.testing.assert_allclose(dgw.sigma_bar[:, 0, 1], 0.0, atol=1e-12)
+    assert _residual(spec, grid, Pi.values, P.values) <= 5e-3
+    spec = embed_perturbation(random_instance(np.random.default_rng(3)), 0.5)
+    P, Pi = solve_riccati_pair(spec, grid)
+    assert _residual(spec, grid, Pi.values, P.values) <= 5e-3
+    assert _residual(spec, grid, Pi.values, np.zeros_like(P.values)) > 0.1
 
 
 # ----------------------------------------------------------- failure
@@ -196,21 +193,6 @@ def test_overflowing_trial_steps_do_not_warn():
         make_example52(), TimeGrid(1.0, 150),
         EpsSchedule(0.1024, 0.5, 11).values, 0.0)
     assert len(pairs) == 11
-
-
-def test_mean_solver_grid_and_consistency_guards():
-    spec = embed_perturbation(make_example61(), 0.5)
-    grid = TimeGrid(1.0, 100)
-    P, _ = solve_riccati_pair(spec, grid)
-    with pytest.raises(GridMismatchError):
-        solve_mean_riccati(spec, P, TimeGrid(1.0, 200))
-    other = embed_perturbation(make_example61(), 1.0)
-    P_other, _ = solve_riccati_pair(other, grid)
-    with pytest.raises(ValueError, match="does not solve"):
-        solve_mean_riccati(spec, P_other, grid)
-    Pi = solve_mean_riccati(spec, P, grid)
-    assert np.max(np.abs(Pi.values[:, 0, 0]
-                         - _analytic_61(0.5)(grid.nodes))) <= 1e-6
 
 
 def test_integrate_backward_frees_its_rhs_without_the_collector():
@@ -300,11 +282,11 @@ def test_half_grid_solve_makes_no_single_time_sample(monkeypatch):
 
     monkeypatch.setattr(mflqg._integrate, "_TimeArrays", counted)
     spec, grid = _half_grid_game(), TimeGrid(1.0, 500)
-    for sol in (solve_riccati_pair(spec, grid)[0],
-                solve_game_riccati(spec, grid),
-                solve_control_riccati(spec, grid, 1),
-                solve_control_riccati(spec, grid, 2)):
-        assert sol.times.shape[0] == 2 * grid.N + 1
+    for times in (solve_riccati_pair(spec, grid)[0].times,
+                  solve_game(spec, grid)[0],
+                  solve_control_riccati(spec, grid, 1).times,
+                  solve_control_riccati(spec, grid, 2).times):
+        assert times.shape[0] == 2 * grid.N + 1
     assert samples == []
 
 
@@ -445,7 +427,7 @@ def test_game_and_control_slopes_match_oracle(monkeypatch, when):
     t = _TIMES[when]
     P = _states(np.random.default_rng(12), (1,), spec.n)
     st = _Row(spec, t)
-    cases = [(lambda: solve_game_riccati(spec, _GRID),
+    cases = [(lambda: solve_game(spec, _GRID),
               _game_slope(st, st.R, P))]
     for player, cols in ((1, slice(0, 2)), (2, slice(2, 4))):
         cases.append((lambda p=player: solve_control_riccati(spec, _GRID, p),
@@ -477,10 +459,11 @@ def test_singular_weight_names_first_rung_then_sigma_before_sigma_bar():
 # ------------------------------------------------- the shared map's weights
 #
 # The oracles below are the weights Sigma = R + D' P D as the solvers
-# and check_strong_regularity once wrote them out, each on its own.
+# once wrote them out, each on its own.
 
 def _oracle_regularity(P, spec):
-    """check_strong_regularity's margins, (plain, barred) per player."""
+    """The pair solve's margins, (plain, barred) per player: P's are
+    the plain ones and Pi's the barred ones."""
     _, _, _, D, _, _, R = _TimeArrays(spec, P.grid.nodes).pairs
     Sig = R + _T(D) @ P.values @ D
     m1 = spec.m1
@@ -517,17 +500,17 @@ def _varying_game(n):
 
 
 def _map_games(case):
-    """(game, P) pairs of one case; a ladder rung's game is the
+    """(game, P, Pi) of one case; a ladder rung's game is the
     embedding its shifted pair solves."""
     grid = TimeGrid(1.0, 150)
     if case == "ex52-ladder":
         spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
         pairs = mflqg.riccati._solve_pairs(spec, grid, eps, 0.0)
-        return [(embed_perturbation(spec, e), P)
-                for e, (P, _) in zip(eps, pairs)]
+        return [(embed_perturbation(spec, e), P, Pi)
+                for e, (P, Pi) in zip(eps, pairs)]
     spec = (embed_perturbation(make_example61(), 0.5) if case == "ex61"
             else _varying_game(int(case[-1])))
-    return [(spec, solve_riccati_pair(spec, grid)[0])]
+    return [(spec, *solve_riccati_pair(spec, grid))]
 
 
 _MAP_CASES = ["ex61", "ex52-ladder", "random-n1", "random-n2", "random-n3"]
@@ -535,17 +518,18 @@ _MAP_CASES = ["ex61", "ex52-ladder", "random-n1", "random-n2", "random-n3"]
 
 @pytest.mark.parametrize("case", _MAP_CASES)
 def test_regularity_margins_match_written_out_weights(case):
-    for spec, P in _map_games(case):
-        rep = check_strong_regularity(P, spec)
+    for spec, P, Pi in _map_games(case):
         (m1p, m1b), (m2p, m2b) = _oracle_regularity(P, spec)
-        for got, want in ((rep.margin_1, m1p), (rep.margin_2, m2p),
-                          (rep.margin_1_bar, m1b), (rep.margin_2_bar, m2b)):
+        for got, want in ((P.regularity_margin_1, m1p),
+                          (P.regularity_margin_2, m2p),
+                          (Pi.regularity_margin_1, m1b),
+                          (Pi.regularity_margin_2, m2b)):
             assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", _MAP_CASES)
 def test_control_margins_match_written_out_weights(case):
-    for spec, _ in _map_games(case):
+    for spec, _, _ in _map_games(case):
         for player in (1, 2):
             sol = solve_control_riccati(spec, TimeGrid(1.0, 150), player)
             mu, mub = _oracle_control_margins(spec, sol, player)
