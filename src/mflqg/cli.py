@@ -20,8 +20,7 @@ import numpy as np
 
 from ._integrate import IntegrationError
 from .model import (DEFAULT_DELTA, SYMMETRY_TOL, CoefficientPath,
-                    ControlLaw, GameSpec, TimeGrid, embed_perturbation,
-                    validate_spec)
+                    ControlLaw, GameSpec, TimeGrid, embed_perturbation)
 from .riccati import RegularityError, solve_riccati_pair, write_riccati_csv
 from .synthesis import (build_feedback, evaluate_functional,
                         evaluate_functional_mc, propagate_moments,
@@ -72,7 +71,8 @@ def load_config(path) -> tuple[GameSpec, dict]:
     Top-level keys: dims {n, m1, m2}, horizon, coefficients {...},
     weights {...}.  Coefficient and weight entries are path objects
     {kind, data} except G and Gbar, which are plain matrices.
-    Anything omitted is zero.
+    Anything omitted is zero.  The GameSpec decides what a game is;
+    whatever it rejects is an input error here.
     """
     try:
         with open(path) as fh:
@@ -83,18 +83,13 @@ def load_config(path) -> tuple[GameSpec, dict]:
         raise InputError(f"config is not valid JSON: {exc}") from exc
     try:
         dims = raw["dims"]
-        n, m1, m2 = (dims[key] for key in ("n", "m1", "m2"))
+        # JSON does not tell 2.0 from 2
+        n, m1, m2 = (int(v) if isinstance(v, float) and v.is_integer() else v
+                     for v in [dims[key] for key in ("n", "m1", "m2")])
         horizon = float(raw["horizon"])
+        GameSpec.check_dims(n, m1, m2, horizon)    # before any path on them
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"config needs dims{{n,m1,m2}} and horizon: {exc}")
-    for key, value in (("n", n), ("m1", m1), ("m2", m2)):
-        whole = (isinstance(value, float) and value.is_integer()
-                 or isinstance(value, int) and not isinstance(value, bool))
-        if not whole:
-            raise InputError(f"dims.{key} must be an integer, got {value!r}")
-    n, m1, m2 = int(n), int(m1), int(m2)
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise InputError(f"horizon must be positive and finite, got {horizon}")
     kw = {}
     for name, obj in (raw.get("coefficients") or {}).items():
         kw[name] = _path_from_config(obj, horizon, f"coefficients.{name}")
@@ -175,10 +170,9 @@ def _jsonable(x):
 def _emit(report: dict, args, name: str) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
     print(text)
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}_report.json").write_text(text + "\n")
+    target = _out_path(args, f"{name}_report.json")
+    if target:
+        target.write_text(text + "\n")
 
 
 def _out_path(args, filename: str) -> Path | None:
@@ -189,12 +183,19 @@ def _out_path(args, filename: str) -> Path | None:
     return out / filename
 
 
-def _validated(spec: GameSpec) -> dict:
-    report = validate_spec(spec)
-    if not report.passed:
-        raise InputError("spec validation failed: "
-                         + "; ".join(report.failures))
-    return {"passed": True, "warnings": list(report.warnings),
+def _validation(spec: GameSpec) -> dict:
+    """The checks every spec passed on construction, and its entries
+    above 1e8, which are reported, not forbidden."""
+    warnings = []
+    for name, path in spec.paths().items():
+        big = float(np.max(np.abs(path.stored_matrices())))
+        if big > 1e8:
+            warnings.append(f"{name}: entries up to {big:.3e}; conditioning "
+                            "is reported, not forbidden")
+    for name in ("G", "Gbar"):
+        if np.max(np.abs(getattr(spec.weights, name))) > 1e8:
+            warnings.append(f"{name}: extreme magnitude")
+    return {"passed": True, "warnings": warnings,
             "symmetry_tol": SYMMETRY_TOL}
 
 
@@ -215,7 +216,7 @@ def cmd_solve(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
     x = _x_from(args, spec)
-    stages: dict = {"validation": _validated(spec)}
+    stages: dict = {"validation": _validation(spec)}
 
     t0 = time.perf_counter()
     P, Pi = solve_riccati_pair(spec, grid, delta=args.delta)
@@ -485,7 +486,7 @@ def _row(name: str, measured: float, tol: float) -> dict:
             "passed": bool(measured <= tol)}
 
 
-def _reproduce_61(args) -> tuple[list, dict]:
+def _reproduce_61() -> tuple[list, dict]:
     spec, raw = load_config(_bundled_config("61"))
     rows = []
     grid = TimeGrid(spec.T, 1000)
@@ -533,7 +534,7 @@ def _reproduce_61(args) -> tuple[list, dict]:
     return rows, extras
 
 
-def _reproduce_52(args) -> tuple[list, dict]:
+def _reproduce_52() -> tuple[list, dict]:
     spec, raw = load_config(_bundled_config("52"))
     rows = []
     grid = TimeGrid(spec.T, 2000)
@@ -562,8 +563,8 @@ def cmd_reproduce(args) -> int:
     if args.example_id not in _EXAMPLE_IDS:
         raise InputError(f"unknown example id {args.example_id!r}; "
                          f"valid ids: {', '.join(_EXAMPLE_IDS)}")
-    rows, extras = (_reproduce_61(args) if args.example_id == "61"
-                    else _reproduce_52(args))
+    rows, extras = (_reproduce_61() if args.example_id == "61"
+                    else _reproduce_52())
     width = max(len(r["check"]) for r in rows)
     for r in rows:
         mark = "PASS" if r["passed"] else "FAIL"
@@ -588,7 +589,7 @@ def cmd_reproduce(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, tol: float) -> None:
     p.add_argument("--config", help="path to a JSON game config")
     p.add_argument("--example", choices=_EXAMPLE_IDS,
                    help="use a bundled example config instead")
@@ -596,8 +597,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="time-grid intervals (default 2000)")
     p.add_argument("--x", help="initial state, comma-separated "
                    "(default all ones)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="command tolerance (default depends on command)")
+    p.add_argument("--tol", type=float, default=tol,
+                   help="command tolerance (default %(default)g)")
     p.add_argument("--out", help="directory for CSV and report files")
 
 
@@ -608,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="closed-loop Riccati solve and value")
-    _add_common(p)
+    _add_common(p, 1e-6)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="uniform definiteness margin (default %(default)g)")
     p.add_argument("--eps", type=float, default=0.0,
@@ -616,42 +617,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=0,
                    help="Monte Carlo cross-check paths (0 = off)")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.set_defaults(func=cmd_solve, tol_default=1e-6)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="necessary-condition section check")
-    _add_common(p)
+    _add_common(p, 1e-9)
     p.add_argument("--blocks", type=int, default=16,
                    help="basis blocks per control coordinate (default 16)")
-    p.set_defaults(func=cmd_check, tol_default=1e-9)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("perturb", help="convexification family classifier")
-    _add_common(p)
+    _add_common(p, 1e-2)
     p.add_argument("--eps0", type=float, default=0.5,
                    help="largest shift in the schedule (default 0.5)")
     p.add_argument("--eps-factor", type=float, default=0.5,
                    help="geometric decay per step (default 0.5)")
     p.add_argument("--eps-steps", type=int, default=14,
                    help="schedule length (default 14)")
-    p.set_defaults(func=cmd_perturb, tol_default=1e-2)
+    p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("verify", help="verify a candidate open-loop saddle")
-    _add_common(p)
+    _add_common(p, 1e-6)
     p.add_argument("--candidate", help="control-law CSV to verify")
-    p.set_defaults(func=cmd_verify, tol_default=1e-6)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="regression table for a bundled "
                        "example")
     p.add_argument("example_id", help="bundled example id (52 or 61)")
     p.add_argument("--out", help="directory for the report file")
-    p.set_defaults(func=cmd_reproduce, tol_default=None)
+    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = args.tol_default
     try:
         return args.func(args)
     except InputError as exc:

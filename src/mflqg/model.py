@@ -43,8 +43,6 @@ __all__ = [
     "GameSpec",
     "TimeGrid",
     "ControlLaw",
-    "ValidationReport",
-    "validate_spec",
     "embed_perturbation",
 ]
 
@@ -187,25 +185,18 @@ class CoefficientPath:
 
 
 def _as_path(value, rows: int, cols: int, horizon: float) -> CoefficientPath:
-    """Coerce a matrix / scalar / path / None into a CoefficientPath."""
+    """Coerce a matrix / scalar / path / None into a CoefficientPath;
+    its shape and horizon are checked by the GameSpec it goes into."""
     if value is None:
         return CoefficientPath.zero(rows, cols, horizon)
     if isinstance(value, CoefficientPath):
-        path = value
-    else:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            if rows != cols:
-                raise ValueError(
-                    "scalar coefficient only allowed for square blocks")
-            arr = float(arr) * np.eye(rows)
-        path = CoefficientPath.constant(arr, horizon)
-    if (path.rows, path.cols) != (rows, cols):
-        raise ValueError(f"coefficient shape {(path.rows, path.cols)} "
-                         f"does not match the declared {(rows, cols)}")
-    if path.horizon != horizon:
-        raise ValueError("coefficient path horizon does not match the game")
-    return path
+        return value
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        if rows != cols:
+            raise ValueError("scalar coefficient only allowed for square blocks")
+        arr = float(arr) * np.eye(rows)
+    return CoefficientPath.constant(arr, horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +254,20 @@ def _block_shapes(n: int, m1: int, m2: int) -> dict:
     }
 
 
+_SYMMETRIC_WEIGHTS = ("Q", "Qbar", "R11", "R11bar", "R22", "R22bar")
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Complete description of one game instance."""
+    """Complete description of one game instance.
+
+    Construction checks that the data is a game, however the spec is
+    built, and raises ValueError naming the offending key otherwise:
+    integer dims >= 1, a positive finite horizon, every path of its
+    block shape on [0, T], finite (n, n) terminal weights G and Gbar,
+    and G, Gbar, Q, Qbar, R11, R11bar, R22, R22bar symmetric within
+    SYMMETRY_TOL (consumers symmetrize them exactly before use).
+    """
 
     n: int
     m1: int
@@ -274,9 +276,54 @@ class GameSpec:
     coefficients: Coefficients
     weights: CostWeights
 
+    @staticmethod
+    def check_dims(n, m1, m2, T) -> None:
+        """Raise ValueError unless n, m1, m2 are integers >= 1 and the
+        horizon T is positive and finite: the part of the check that
+        callers building blocks of these shapes run first."""
+        for key, value in (("n", n), ("m1", m1), ("m2", m2)):
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"dims.{key} must be an integer >= 1, "
+                                 f"got {value!r}")
+        if not (np.isfinite(T) and T > 0):
+            raise ValueError(f"horizon must be positive and finite, got {T}")
+
+    def __post_init__(self):
+        n, T = self.n, self.T
+        self.check_dims(n, self.m1, self.m2, T)
+        shapes = _block_shapes(n, self.m1, self.m2)
+        paths = self.paths()
+        for name, path in paths.items():
+            if (path.rows, path.cols) != shapes[name]:
+                raise ValueError(f"{name}: shape {(path.rows, path.cols)}, "
+                                 f"expected {shapes[name]}")
+            if path.horizon != T:
+                raise ValueError(f"{name}: horizon {path.horizon} != T = {T}")
+        w = self.weights
+        for name in ("G", "Gbar"):
+            mat = getattr(w, name)
+            if mat.shape != (n, n):
+                raise ValueError(f"{name}: shape {mat.shape}, expected {(n, n)}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name}: non-finite entries")
+        for name, mats in (("G", w.G[None]), ("Gbar", w.Gbar[None]), *(
+                (key, paths[key].stored_matrices())
+                for key in _SYMMETRIC_WEIGHTS)):
+            skew = float(np.max(np.abs(mats - mats.transpose(0, 2, 1))))
+            if skew > SYMMETRY_TOL:
+                raise ValueError(f"{name}: asymmetric by {skew:.3e} "
+                                 f"(tolerance {SYMMETRY_TOL:g})")
+
     @property
     def m(self) -> int:
         return self.m1 + self.m2
+
+    def paths(self) -> dict:
+        """Every coefficient and weight path by name, in block order."""
+        co, w = self.coefficients, self.weights
+        return {name: getattr(co if hasattr(co, name) else w, name)
+                for name in _block_shapes(self.n, self.m1, self.m2)}
 
     @classmethod
     def from_matrices(cls, n: int, m1: int, m2: int, T: float, **kw) -> "GameSpec":
@@ -286,6 +333,7 @@ class GameSpec:
         CostWeights (A, Abar, B1, ..., G, Gbar, Q, ..., R22bar).  Each
         value may be an array, a CoefficientPath, or None.
         """
+        cls.check_dims(n, m1, m2, T)
         shapes = _block_shapes(n, m1, m2)
         unknown = set(kw) - set(shapes) - {"G", "Gbar"}
         if unknown:
@@ -401,73 +449,6 @@ class ControlLaw:
         off[:, lo:lo + mi] += lam * vals
         return ControlLaw(times=self.times, gain=self.gain,
                           mean_gain=self.mean_gain, offset=_frozen(off))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_spec: hard failures and advisory warnings."""
-
-    passed: bool
-    failures: tuple
-    warnings: tuple
-
-
-_SYMMETRIC_WEIGHTS = ("Q", "Qbar", "R11", "R11bar", "R22", "R22bar")
-
-
-def validate_spec(spec: GameSpec) -> ValidationReport:
-    """Check shapes, symmetry and path well-formedness of a spec.
-
-    Symmetry of the weight matrices is required up to absolute
-    tolerance 1e-12; downstream consumers symmetrize accepted weights
-    as (M + M.T)/2 before use.  Extreme coefficient magnitudes are
-    reported as warnings only.
-    """
-    failures: list[str] = []
-    warnings: list[str] = []
-    n, m1, m2, T = spec.n, spec.m1, spec.m2, spec.T
-    if min(n, m1, m2) < 1:
-        failures.append("dimensions must be positive")
-    if not (np.isfinite(T) and T > 0):
-        failures.append("horizon must be positive and finite")
-
-    for name, want in _block_shapes(n, m1, m2).items():
-        path = getattr(spec.coefficients if hasattr(spec.coefficients, name)
-                       else spec.weights, name)
-        if (path.rows, path.cols) != want:
-            failures.append(f"{name}: shape {(path.rows, path.cols)}, "
-                            f"expected {want}")
-            continue
-        if path.horizon != T:
-            failures.append(f"{name}: horizon {path.horizon} != T = {T}")
-        if path.kind == "piecewise":
-            breaks = path.payload[0]
-            if breaks[-1] > T:
-                failures.append(f"{name}: breakpoint beyond horizon")
-        if name in _SYMMETRIC_WEIGHTS:
-            for j, mat in enumerate(path.stored_matrices()):
-                skew = float(np.max(np.abs(mat - mat.T), initial=0.0))
-                if skew > SYMMETRY_TOL:
-                    failures.append(
-                        f"{name}: matrix #{j} asymmetric by {skew:.3e}")
-        big = float(np.max(np.abs(path.stored_matrices()), initial=0.0))
-        if big > 1e8:
-            warnings.append(f"{name}: entries up to {big:.3e}; conditioning "
-                            "is reported, not forbidden")
-
-    for name in ("G", "Gbar"):
-        mat = getattr(spec.weights, name)
-        if mat.shape != (n, n):
-            failures.append(f"{name}: shape {mat.shape}, expected {(n, n)}")
-        else:
-            skew = float(np.max(np.abs(mat - mat.T), initial=0.0))
-            if skew > SYMMETRY_TOL:
-                failures.append(f"{name}: asymmetric by {skew:.3e}")
-            if np.max(np.abs(mat), initial=0.0) > 1e8:
-                warnings.append(f"{name}: extreme magnitude")
-
-    return ValidationReport(passed=not failures, failures=tuple(failures),
-                            warnings=tuple(warnings))
 
 
 def embed_perturbation(spec: GameSpec, eps: float) -> GameSpec:

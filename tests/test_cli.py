@@ -82,6 +82,23 @@ def test_solve_reports_the_pair_solves_margins(capsys):
                        "mean_player_2": Pi.regularity_margin_2.min()}
 
 
+def test_solve_reports_the_checks_its_spec_passed(capsys, tmp_path):
+    cfg = {"dims": {"n": 1, "m1": 1, "m2": 1}, "horizon": 1.0,
+           "coefficients": {"B1": {"kind": "constant", "data": [[1.0]]},
+                            "B2": {"kind": "constant", "data": [[1.0]]}},
+           "weights": {"G": [[1.0]],
+                       "R11": {"kind": "constant", "data": [[2e8]]},
+                       "R22": {"kind": "constant", "data": [[-1.0]]}}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    code, rep, _ = run(capsys, "solve", "--config", str(path), "--grid", "20")
+    assert code == EXIT_FAIL
+    assert rep["stages"]["validation"] == {
+        "passed": True, "symmetry_tol": 1e-12,
+        "warnings": ["R11: entries up to 2.000e+08; conditioning is "
+                     "reported, not forbidden"]}
+
+
 def test_solve_reports_breakdown_without_embedding(capsys):
     code, _, cap = run(capsys, "solve", "--example", "61",
                        "--grid", "200")
@@ -407,24 +424,43 @@ def test_unknown_coefficient_name(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("horizon", 0, "horizon must be positive and finite"),
-    ("horizon", -1, "horizon must be positive and finite"),
-    ("horizon", float("nan"), "horizon must be positive and finite"),
-    ("dims", {"n": 1.7, "m1": 1, "m2": 1}, "dims.n must be an integer"),
-], ids=["horizon-zero", "horizon-negative", "horizon-nan", "dims-fraction"])
-def test_bad_config_values_are_input_errors(capsys, tmp_path, key, value,
+_ASYMMETRIC_Q = {
+    "dims": {"n": 2, "m1": 1, "m2": 1}, "coefficients": {},
+    "weights": {"Q": {"kind": "constant", "data": [[1.0, 0.3], [0.0, 1.0]]}}}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"horizon": 0}, "horizon must be positive and finite"),
+    ({"horizon": -1}, "horizon must be positive and finite"),
+    ({"horizon": float("nan")}, "horizon must be positive and finite"),
+    ({"horizon": -1, "coefficients": {"B1": {
+        "kind": "piecewise", "data": [[0.0, [[1.0]]], [0.5, [[2.0]]]]}}},
+     "horizon must be positive and finite"),
+    ({"dims": {"n": 1.7, "m1": 1, "m2": 1}}, "dims.n must be an integer"),
+    ({"weights": {"G": [[1.0, 2.0]]}}, "G: shape (1, 2), expected (1, 1)"),
+    ({"weights": {"G": [[float("nan")]]}}, "G: non-finite entries"),
+    (_ASYMMETRIC_Q, "Q: asymmetric by 3.000e-01"),
+    ({"dims": {"n": 1, "m1": 0, "m2": 1}, "coefficients": {},
+      "weights": {"G": [[-1.0]]}},
+     "dims.m1 must be an integer >= 1, got 0"),
+], ids=["horizon-zero", "horizon-negative", "horizon-nan",
+        "horizon-negative-piecewise", "dims-fraction", "G-shape", "G-nan",
+        "Q-asymmetric", "m1-zero"])
+def test_bad_config_values_are_input_errors(capsys, tmp_path, changes,
                                             message):
     cfg = {"dims": {"n": 1, "m1": 1, "m2": 1}, "horizon": 1.0,
            "coefficients": {"B1": {"kind": "constant", "data": [[1.0]]}},
            "weights": {"G": [[-1.0]],
                        "R11": {"kind": "constant", "data": [[1.0]]}}}
-    cfg[key] = value
+    cfg.update(changes)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    for command in ("solve", "check", "perturb"):
+    cand = tmp_path / "cand.csv"
+    cand.write_text("t,offset_0,offset_1\n0,0,0\n1,0,0\n")
+    for command, *extra in (("solve",), ("check",), ("perturb",),
+                            ("verify", "--candidate", str(cand))):
         code, rep, cap = run(capsys, command, "--config", str(bad),
-                             "--grid", "20")
+                             "--grid", "20", *extra)
         assert code == EXIT_INPUT, command
         assert rep is None
         assert message in cap.err, command

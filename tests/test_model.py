@@ -1,12 +1,14 @@
 """Model layer: paths, specs, grids, control laws, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflqg.model import (CoefficientPath, ControlLaw, GameSpec, TimeGrid,
-                         embed_perturbation, validate_spec)
+from mflqg.model import (SYMMETRY_TOL, CoefficientPath, ControlLaw, GameSpec,
+                         TimeGrid, embed_perturbation)
 
 from conftest import make_example52, make_example61
 
@@ -120,19 +122,43 @@ def test_omitted_blocks_default_to_zero(example61):
     assert example61.m == 2
 
 
-def test_validate_spec_passes_examples():
-    for spec in (make_example61(), make_example52()):
-        rep = validate_spec(spec)
-        assert rep.passed
-        assert not rep.failures
-
-
-def test_validate_spec_flags_asymmetric_weight():
+def test_spec_symmetry_has_a_tolerance():
+    skew = 0.5 * SYMMETRY_TOL
     spec = GameSpec.from_matrices(n=2, m1=1, m2=1, T=1.0,
-                                  Q=[[1.0, 0.3], [0.0, 1.0]])
-    rep = validate_spec(spec)
-    assert not rep.passed
-    assert any("Q" in f for f in rep.failures)
+                                  Q=[[1.0, skew], [0.0, 1.0]],
+                                  G=[[0.0, skew], [0.0, 0.0]])
+    assert spec.weights.Q.eval(0.0)[0, 1] == spec.weights.G[0, 1] == skew
+    with pytest.raises(ValueError, match="Qbar: asymmetric"):
+        GameSpec.from_matrices(n=2, m1=1, m2=1, T=1.0,
+                               Qbar=[[1.0, 3 * skew], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GameSpec.from_matrices(n=2, m1=1, m2=1, T=1.0,
+                                    Q=[[1.0, 0.3], [0.0, 1.0]]),
+     "Q: asymmetric by 3.000e-01"),
+    (lambda: GameSpec.from_matrices(n=1, m1=1, m2=1, T=1.0,
+                                    G=[[float("nan")]]),
+     "G: non-finite entries"),
+    (lambda: GameSpec.from_matrices(n=1, m1=1, m2=1, T=1.0,
+                                    Gbar=[[1.0, 2.0]]),
+     r"Gbar: shape \(1, 2\), expected \(1, 1\)"),
+    (lambda: GameSpec.from_matrices(n=1, m1=0, m2=1, T=1.0),
+     "dims.m1 must be an integer >= 1, got 0"),
+    (lambda: GameSpec.from_matrices(n=1, m1=1, m2=1, T=float("nan")),
+     "horizon must be positive and finite, got nan"),
+    (lambda: dataclasses.replace(
+        make_example52(), weights=dataclasses.replace(
+            make_example52().weights, R22=CoefficientPath.piecewise(
+                [(0.0, [[-1.0]]), (0.5, [[-2.0]])], 2.0))),
+     "R22: horizon 2.0 != T = 1.0"),
+    (lambda: dataclasses.replace(make_example61(), T=2.0),
+     "A: horizon 1.0 != T = 2.0"),
+], ids=["Q-asymmetric", "G-nan", "Gbar-shape", "m1-zero", "T-nan",
+        "replace-R22-horizon", "replace-T"])
+def test_invalid_spec_does_not_build(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_embed_perturbation_shifts_only_running_weights(example61):
