@@ -20,11 +20,9 @@ on one shared partition.
 Coefficients are sampled by ``_TimeArrays``, one vectorized
 ``CoefficientPath.sample`` call per path.  The integrator's rhs reads
 them one time at a time from a ``CoefficientCache`` of rows in the
-solver's own view, filled in one batch at ``stage_times(grid)``: keys
-formed with the integrator's own expressions t0 + 0.5*h and t0 + h,
-not taken from ``grid.half_times``, whose midpoints can differ in the
-last ulp.  A state has at least two axes: rungs, then matrices, square
-in the last two axes.
+solver's own view, filled in one batch at ``grid.half_times``, whose
+midpoints are the integrator's own t0 + 0.5*h.  A state has at least
+two axes: rungs, then matrices, square in the last two axes.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "CoefficientCache",
     "integrate_backward",
     "hermite_midpoint",
-    "stage_times",
 ]
 
 # Fast-accept thresholds: an interval is taken in a single RK4 step,
@@ -161,10 +158,10 @@ class CoefficientCache:
     A row is one time of ``view``, which maps a ``_TimeArrays`` to the
     solver's slope arguments with leading axis time, so an rhs does no
     slicing, stacking or shifting of its own.  The Riccati solvers
-    ``fill`` the memo in one batch at ``stage_times(grid)``, whose keys
-    equal the integrator's times bitwise (``grid.half_times``'
-    midpoints may not).  A time inside a refined interval is sampled
-    alone; a constant spec has one row.
+    ``fill`` the memo in one batch at ``grid.half_times``, the times at
+    which the integrator calls rhs on the intervals it fast-accepts.  A
+    time inside a refined interval is sampled alone; a constant spec has
+    one row.
     """
 
     def __init__(self, spec: GameSpec, view):
@@ -225,19 +222,6 @@ def _rk4_step(rhs, t: float, h: float, y: np.ndarray, k1: np.ndarray):
 def hermite_midpoint(y0, y1, f0, f1, h):
     """Fourth-order midpoint value from endpoint values and slopes."""
     return 0.5 * (y0 + y1) + (h / 8.0) * (f0 - f1)
-
-
-def stage_times(grid: TimeGrid) -> np.ndarray:
-    """Every time, ascending, at which integrate_backward calls rhs on
-    the intervals it fast-accepts: with t0 = nodes[k], t1 = nodes[k-1]
-    and h = t1 - t0, the stages t0 + 0.5*h and t0 + h and the node t1.
-    These are the integrator's own expressions, so the times match its
-    bitwise; ``grid.half_times`` differs in the last ulp at 20 of the
-    500 midpoints of T = 1, N = 500 and would miss a memo."""
-    nodes = grid.nodes
-    t0 = nodes[1:]
-    h = nodes[:-1] - t0
-    return np.unique(np.concatenate((nodes, t0 + 0.5 * h, t0 + h)))
 
 
 # a trial step may overflow; _rung_finite rejects it, so numpy's

@@ -9,6 +9,7 @@ classification failure, 2 input error, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -20,16 +21,14 @@ import numpy as np
 
 from ._integrate import IntegrationError
 from .model import (DEFAULT_DELTA, SYMMETRY_TOL, CoefficientPath,
-                    ControlLaw, GameSpec, TimeGrid, embed_perturbation)
-from .riccati import RegularityError, solve_riccati_pair, write_riccati_csv
+                    Coefficients, ControlLaw, CostWeights, GameSpec,
+                    TimeGrid, embed_perturbation)
+from .riccati import RegularityError, solve_riccati_pair
 from .synthesis import (build_feedback, evaluate_functional,
                         evaluate_functional_mc, propagate_moments,
-                        stationarity_residual, verify_saddle,
-                        write_feedback_csv, write_moments_csv)
-from .operators import (build_section, check_necessary_condition,
-                        write_section_csv)
-from .perturbation import (EpsSchedule, classify_family, control_distance,
-                           write_family_csv)
+                        stationarity_residual, verify_saddle)
+from .operators import build_section, check_necessary_condition
+from .perturbation import EpsSchedule, classify_family, control_distance
 
 __all__ = ["main", "load_config"]
 
@@ -70,9 +69,10 @@ def load_config(path) -> tuple[GameSpec, dict]:
 
     Top-level keys: dims {n, m1, m2}, horizon, coefficients {...},
     weights {...}.  Coefficient and weight entries are path objects
-    {kind, data} except G and Gbar, which are plain matrices.
-    Anything omitted is zero.  The GameSpec decides what a game is;
-    whatever it rejects is an input error here.
+    {kind, data} except G and Gbar, which are plain matrices.  Each
+    section takes only its own dataclass's field names.  Anything
+    omitted is zero.  The GameSpec decides what a game is; whatever it
+    rejects is an input error here.
     """
     try:
         with open(path) as fh:
@@ -86,18 +86,23 @@ def load_config(path) -> tuple[GameSpec, dict]:
         # JSON does not tell 2.0 from 2
         n, m1, m2 = (int(v) if isinstance(v, float) and v.is_integer() else v
                      for v in [dims[key] for key in ("n", "m1", "m2")])
-        horizon = float(raw["horizon"])
+        horizon = raw["horizon"]
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
+            raise ValueError(f"horizon must be a number, got {horizon!r}")
+        horizon = float(horizon)
         GameSpec.check_dims(n, m1, m2, horizon)    # before any path on them
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"config needs dims{{n,m1,m2}} and horizon: {exc}")
     kw = {}
-    for name, obj in (raw.get("coefficients") or {}).items():
-        kw[name] = _path_from_config(obj, horizon, f"coefficients.{name}")
-    for name, obj in (raw.get("weights") or {}).items():
-        if name in ("G", "Gbar"):
-            kw[name] = obj
-        else:
-            kw[name] = _path_from_config(obj, horizon, f"weights.{name}")
+    for section, fields in (("coefficients", Coefficients),
+                            ("weights", CostWeights)):
+        names = [f.name for f in dataclasses.fields(fields)]
+        for name, obj in (raw.get(section) or {}).items():
+            key = f"{section}.{name}"
+            if name not in names:
+                raise InputError(f"{key}: not one of {', '.join(names)}")
+            kw[name] = (obj if name in ("G", "Gbar")
+                        else _path_from_config(obj, horizon, key))
     try:
         spec = GameSpec.from_matrices(n, m1, m2, horizon, **kw)
     except (ValueError, TypeError) as exc:
@@ -183,6 +188,30 @@ def _out_path(args, filename: str) -> Path | None:
     return out / filename
 
 
+def _columns(prefix: str, shape: tuple) -> list:
+    """Column names prefix_i_j.. of an array's entries, row-major."""
+    return [f"{prefix}_" + "_".join(map(str, idx))
+            for idx in np.ndindex(*shape)]
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """The one CSV dialect of every output file: a header row, floats
+    as %.17g, strings as they are, lines ending in \\n."""
+    lines = [header] + [[v if isinstance(v, str) else "%.17g" % v
+                         for v in row] for row in rows]
+    path.write_text("".join(",".join(line) + "\n" for line in lines),
+                    newline="\n")
+
+
+def _write_feedback(path: Path, law) -> None:
+    """Boundary rows of a feedback law: t, then both gain matrices."""
+    K, m, n = law.gain.shape
+    _write_csv(path, ["t", *_columns("gain", (m, n)),
+                      *_columns("mean_gain", (m, n))],
+               np.column_stack((law.times, law.gain.reshape(K, -1),
+                                law.mean_gain.reshape(K, -1)))[::2])
+
+
 def _validation(spec: GameSpec) -> dict:
     """The checks every spec passed on construction, and its entries
     above 1e8, which are reported, not forbidden."""
@@ -219,16 +248,17 @@ def cmd_solve(args) -> int:
     stages: dict = {"validation": _validation(spec)}
 
     t0 = time.perf_counter()
-    P, Pi = solve_riccati_pair(spec, grid, delta=args.delta)
+    P, Pi = solve_riccati_pair(spec, grid)
     t_riccati = time.perf_counter() - t0
-    # Pi's margins are those of the barred weight along P
+    # Pi's margins are those of the barred weight along P; P is strongly
+    # regular when all four reach delta
+    margins = {"player_1": float(P.regularity_margin_1.min()),
+               "player_2": float(P.regularity_margin_2.min()),
+               "mean_player_1": float(Pi.regularity_margin_1.min()),
+               "mean_player_2": float(Pi.regularity_margin_2.min())}
     stages["riccati"] = {
-        "strongly_regular": P.strongly_regular and Pi.strongly_regular,
-        "margins": {"player_1": float(P.regularity_margin_1.min()),
-                    "player_2": float(P.regularity_margin_2.min()),
-                    "mean_player_1": float(Pi.regularity_margin_1.min()),
-                    "mean_player_2": float(Pi.regularity_margin_2.min()),
-                    "required_at_least": args.delta},
+        "strongly_regular": all(v >= args.delta for v in margins.values()),
+        "margins": {**margins, "required_at_least": args.delta},
         "residual": {"value": P.residual_norm,
                      "note": "midpoint defect of the stage-wise flow"},
         "asymmetry_sup": P.asymmetry_sup,
@@ -266,16 +296,20 @@ def cmd_solve(args) -> int:
                     "tol": "3 * stderr"},
         }
 
-    for fname, writer, obj in (("riccati.csv", write_riccati_csv, P),
-                               ("mean_riccati.csv", write_riccati_csv, Pi)):
-        target = _out_path(args, fname)
-        if target:
-            writer(obj, target)
-    target = _out_path(args, "feedback.csv")
-    if target:
-        write_feedback_csv(target, law)
-        write_moments_csv(_out_path(args, "moments.csv"),
-                          propagate_moments(spec, law, x))
+    if args.out:
+        n, m = spec.n, spec.m
+        for fname, sol in (("riccati.csv", P), ("mean_riccati.csv", Pi)):
+            _write_csv(_out_path(args, fname), ["t", *_columns("P", (n, n))],
+                       np.column_stack((grid.nodes,
+                                        sol.values.reshape(grid.N + 1, -1))))
+        _write_feedback(_out_path(args, "feedback.csv"), law)
+        mo = propagate_moments(spec, law, x)
+        K = mo.times.shape[0]
+        _write_csv(_out_path(args, "moments.csv"),
+                   ["t", *_columns("mean", (n,)), *_columns("cov", (n, n)),
+                    *_columns("control_mean", (m,))],
+                   np.column_stack((mo.times, mo.mean, mo.cov.reshape(K, -1),
+                                    mo.control_mean))[::2])
 
     report = {
         "command": "solve",
@@ -301,9 +335,12 @@ def cmd_check(args) -> int:
     grid = _grid_from(args, spec, multiple_of=args.blocks)
     section = build_section(spec, grid, args.blocks)
     sign = check_necessary_condition(section, tol=args.tol)
-    target = _out_path(args, "section.csv")
-    if target:
-        write_section_csv(section, target)
+    if args.out:
+        _write_csv(_out_path(args, "section.csv"), ["part", "i", "j", "value"],
+                   ([name, i, j, mat[i, j]] for name, mat in (
+                       ("M", section.m_section.matrix),
+                       ("K", section.k_section), ("O", section.o_section))
+                    for i, j in np.ndindex(*mat.shape)))
     report = {
         "command": "check",
         "config_hash": chash,
@@ -341,9 +378,10 @@ def cmd_perturb(args) -> int:
     except ValueError as exc:
         raise InputError(f"--eps0, --eps-factor, --eps-steps: {exc}") from exc
     family = classify_family(spec, schedule, x, grid, tol=args.tol)
-    target = _out_path(args, "family.csv")
-    if target:
-        write_family_csv(family, target)
+    if args.out:
+        _write_csv(_out_path(args, "family.csv"),
+                   ["eps", "control_norm", "value"],
+                   ([it.eps, it.norm, it.value] for it in family.iterates))
     report = {
         "command": "perturb",
         "config_hash": chash,
@@ -380,9 +418,9 @@ def cmd_perturb(args) -> int:
                     "tol": saddle.curvature_tol},
             }
         ok = ok and bool(saddle and saddle.is_saddle)
-        target = _out_path(args, "limit_feedback.csv")
-        if target:
-            write_feedback_csv(target, family.limit)
+        if args.out:
+            _write_feedback(_out_path(args, "limit_feedback.csv"),
+                            family.limit)
     _emit(report, args, "perturb")
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -418,8 +456,7 @@ def _load_candidate(path, spec: GameSpec, grid: TimeGrid) -> ControlLaw:
     half = grid.half_times
 
     def gather(prefix, shape):
-        names = [f"{prefix}_" + "_".join(map(str, idx))
-                 for idx in np.ndindex(*shape)]
+        names = _columns(prefix, shape)
         if not any(nm in cols for nm in names):
             return None
         missing = [nm for nm in names if nm not in cols]

@@ -380,8 +380,12 @@ class TimeGrid:
 
     @cached_property
     def half_times(self) -> np.ndarray:
-        """Nodes plus interval midpoints: 2N + 1 times."""
-        out = np.linspace(0.0, self.T, 2 * self.N + 1)
+        """Nodes plus interval midpoints: 2N + 1 times.  Each midpoint is
+        the integrator's own t0 + 0.5*h of a backward step from t0."""
+        t0 = self.nodes[1:]
+        out = np.empty(2 * self.N + 1)
+        out[::2] = self.nodes
+        out[1::2] = t0 + 0.5 * (self.nodes[:-1] - t0)
         out.setflags(write=False)
         return out
 

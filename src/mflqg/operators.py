@@ -24,7 +24,6 @@ contraction property of the shifted inverse.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +43,6 @@ __all__ = [
     "perturbed_inverse",
     "contraction_norm",
     "solve_section_saddle",
-    "write_section_csv",
 ]
 
 _SYM_TOL = 1e-12     # declared symmetry slack for operator blocks
@@ -298,10 +296,7 @@ class SectionSaddle:
 
     ``norm`` is the L2 norm of the realized control (the basis is
     orthonormal, so it equals |coefficients|).  ``residual`` is the
-    stationarity defect |(M + eps J) c + K x|.  When a reference
-    coefficient vector was supplied, ``norm_bound_ok`` records
-    whether |c| <= |reference| + 1e-6 (shifted saddles can never
-    beat a true saddle's norm).
+    stationarity defect |(M + eps J) c + K x|.
     """
 
     eps: float
@@ -309,11 +304,10 @@ class SectionSaddle:
     value: float
     norm: float
     residual: float
-    norm_bound_ok: bool | None
 
 
-def solve_section_saddle(section: OperatorSection, x, eps: float = 0.0,
-                         reference=None) -> SectionSaddle:
+def solve_section_saddle(section: OperatorSection, x,
+                         eps: float = 0.0) -> SectionSaddle:
     """Solve (M + eps J) c = -K x on the section.
 
     With eps = 0 the section matrix itself must be safely invertible
@@ -337,25 +331,6 @@ def solve_section_saddle(section: OperatorSection, x, eps: float = 0.0,
         c = inv.matrix @ rhs
         shifted = op.matrix + eps * op.sign_matrix
     residual = float(np.linalg.norm(shifted @ c - rhs))
-    norm = float(np.linalg.norm(c))
-    bound_ok = None
-    if reference is not None:
-        ref = np.asarray(reference, dtype=float).reshape(-1)
-        bound_ok = bool(norm <= float(np.linalg.norm(ref)) + 1e-6)
     return SectionSaddle(eps=eps, coefficients=c,
-                         value=section.value(xv, c), norm=norm,
-                         residual=residual, norm_bound_ok=bound_ok)
-
-
-def write_section_csv(section: OperatorSection, path) -> None:
-    """Dump the section matrices as rows of part, i, j, value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["part", "i", "j", "value"])
-        parts = (("M", section.m_section.matrix),
-                 ("K", section.k_section),
-                 ("O", section.o_section))
-        for name, mat in parts:
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    writer.writerow([name, i, j, f"{mat[i, j]:.17g}"])
+                         value=section.value(xv, c),
+                         norm=float(np.linalg.norm(c)), residual=residual)

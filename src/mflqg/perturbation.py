@@ -14,13 +14,12 @@ growth exponent and measures successive control distances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._integrate import _T, _TimeArrays
-from .model import DEFAULT_DELTA, GameSpec, TimeGrid, embed_perturbation
+from .model import GameSpec, TimeGrid, embed_perturbation
 from .riccati import (RiccatiSolution, _eps_shift, _solve_pairs,
                       solve_riccati_pair)
 from .synthesis import (FeedbackLaw, SaddleReport, _feedback_fields,
@@ -35,7 +34,6 @@ __all__ = [
     "build_eps_iterate",
     "control_distance",
     "classify_family",
-    "write_family_csv",
 ]
 
 _ZERO_FAMILY = 1e-14       # below this the whole family is just 0
@@ -101,7 +99,7 @@ def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x) -> list:
     gives every rung's law, and one moment run every rung's value and
     control norm.  A breakdown raises RegularityError naming its eps.
     """
-    pairs = _solve_pairs(spec, grid, eps_values, DEFAULT_DELTA)
+    pairs = _solve_pairs(spec, grid, eps_values)
     times = pairs[0][0].times
     shift = _eps_shift(spec, eps_values)
     ta = _TimeArrays(spec, times)
@@ -226,8 +224,7 @@ def _chain_distances(spec: GameSpec, laws: list, x) -> np.ndarray:
                               0.0))
 
 
-def control_distance(spec: GameSpec, it_a, it_b, x,
-                     grid: TimeGrid | None = None) -> float:
+def control_distance(spec: GameSpec, it_a, it_b, x) -> float:
     """L2 distance of the controls two laws realize from state x.
 
     Both laws are driven by the same noise, so the gap solves a joint
@@ -273,7 +270,7 @@ class EpsFamilyReport:
         return np.array([it.eps for it in self.iterates])
 
 
-def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
+def classify_family(spec: GameSpec, schedule: EpsSchedule, x,
                     grid: TimeGrid, tol: float = 1e-2,
                     verify: bool = True) -> EpsFamilyReport:
     """Sweep the convexification ladder and classify solvability.
@@ -287,7 +284,6 @@ def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
     last iterate), against the game it solves: the one shifted by the
     last eps.
     """
-    schedule = schedule or EpsSchedule()
     xvec = np.asarray(x, dtype=float).reshape(spec.n)
     iterates = _solve_iterates(spec, schedule.values, grid, xvec)
     norms = np.array([it.norm for it in iterates])
@@ -330,13 +326,3 @@ def classify_family(spec: GameSpec, schedule: EpsSchedule | None, x,
                            values=values, distances=distances,
                            exponent=exponent, verdict=verdict, tol=tol,
                            limit=limit, saddle=saddle)
-
-
-def write_family_csv(report: EpsFamilyReport, path) -> None:
-    """Dump the sweep as rows of eps, control norm, value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "control_norm", "value"])
-        for it in report.iterates:
-            writer.writerow([f"{it.eps:.17g}", f"{it.norm:.17g}",
-                             f"{it.value:.17g}"])

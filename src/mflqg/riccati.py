@@ -37,8 +37,8 @@ from functools import partial
 import numpy as np
 
 from ._integrate import (CoefficientCache, IntegrationError, _T, _TimeArrays,
-                         integrate_backward, stage_times)
-from .model import CONDITION_LIMIT, DEFAULT_DELTA, GameSpec, TimeGrid
+                         integrate_backward)
+from .model import CONDITION_LIMIT, GameSpec, TimeGrid
 
 __all__ = [
     "RegularityError",
@@ -48,7 +48,6 @@ __all__ = [
     "solve_control_riccati",
     "solve_riccati_pair",
     "check_comparison",
-    "write_riccati_csv",
 ]
 
 
@@ -83,7 +82,6 @@ class RiccatiSolution:
     regularity_margin_1: np.ndarray
     regularity_margin_2: np.ndarray
     residual_norm: float
-    strongly_regular: bool
     asymmetry_sup: float
 
     @property
@@ -198,27 +196,12 @@ def _signed_block_margins(Sig_stack: np.ndarray, m1: int):
     return mu1, mu2
 
 
-def _midpoint_index(times, node_index):
-    """Fine index closest to each grid interval's midpoint."""
-    i0, i1 = node_index[:-1], node_index[1:]
-    # the true interval midpoint is always recorded; locate the fine
-    # entry closest to it in case refinement shifted indices
-    target = 0.5 * (times[i0] + times[i1])
-    j = np.searchsorted(times, target)
-    back = (j > i1) | ((j > i0) & (np.abs(times[j - 1] - target)
-                                  <= np.abs(times[np.minimum(j, i1)]
-                                            - target)))
-    return j - back.astype(int)
-
-
-def _solution(grid, delta, times, fine, node_index, mu1, mu2, residual,
+def _solution(grid, times, fine, node_index, mu1, mu2, residual,
               asym) -> "RiccatiSolution":
-    regular = bool(np.min(mu1) >= delta and np.min(mu2) >= delta)
     return RiccatiSolution(
         grid=grid, times=times, values_fine=fine, node_index=node_index,
         regularity_margin_1=mu1, regularity_margin_2=mu2,
-        residual_norm=float(residual), strongly_regular=regular,
-        asymmetry_sup=asym)
+        residual_norm=float(residual), asymmetry_sup=asym)
 
 
 def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
@@ -231,7 +214,7 @@ def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
     # the memo, filled where fast-accepted steps call rhs
     cache = CoefficientCache(spec, view)
     if not cache.constant:
-        cache.fill(_TimeArrays(spec, stage_times(grid)))
+        cache.fill(_TimeArrays(spec, grid.half_times))
     try:
         times, values, node_index, asym = integrate_backward(
             lambda t, Y: _slope(*cache.at(t), Y, Y[..., :1, :, :]), grid,
@@ -241,8 +224,10 @@ def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
 
     # weights at the nodes, and the sup over nodes of the Frobenius
     # defect of node differences against midpoint slopes, of every rung
-    # and equation at once, on axes (node, rung, ...)
-    mids = _midpoint_index(times, node_index)
+    # and equation at once, on axes (node, rung, ...).  Each interval's
+    # midpoint is recorded at exactly its half time, as a segment
+    # midpoint or as the boundary of the interval's first split.
+    mids = np.searchsorted(times, grid.half_times[1::2])
     Y_n, Y_m = values[node_index], values[mids]
     _, Sig = _terms(*view(ta_n), Y_n, Y_n[..., :1, :, :])
     _cond_violations(Sig, grid.nodes,
@@ -257,8 +242,8 @@ def _solve(spec: GameSpec, grid: TimeGrid, ta_n: _TimeArrays, view,
 # public solvers
 # ----------------------------------------------------------------------
 
-def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
-                          delta: float = DEFAULT_DELTA) -> RiccatiSolution:
+def solve_control_riccati(spec: GameSpec, grid: TimeGrid,
+                          player: int) -> RiccatiSolution:
     """Solve the single-channel Riccati equation of one player.
 
     The equation keeps the shared state weights Q and G but sees only
@@ -277,24 +262,24 @@ def solve_control_riccati(spec: GameSpec, grid: TimeGrid, player: int,
     sign = 1.0 if player == 1 else -1.0
     mu, mub = np.linalg.eigvalsh(
         sign * np.stack((Sig[:, 0], Sigb[:, 0])))[..., 0]
-    return _solution(grid, delta, times, values[:, 0], node_index, mu, mub,
-                     res[0], asym[0])
+    return _solution(grid, times, values[:, 0], node_index, mu, mub, res[0],
+                     asym[0])
 
 
-def solve_riccati_pair(spec: GameSpec, grid: TimeGrid,
-                       delta: float = DEFAULT_DELTA):
+def solve_riccati_pair(spec: GameSpec, grid: TimeGrid):
     """Solve the game equation and the mean equation in one sweep.
 
     The pair is integrated jointly so the mean equation sees the game
     solution exactly at every internal stage, layers included.
     Returns (P, Pi) as RiccatiSolutions on a shared refined partition.
     Pi's margins are those of the barred weight R + Rbar + (D+Dbar)' P
-    (D+Dbar), so both flags together are the strong regularity of P.
+    (D+Dbar), so the four margins together measure P's strong
+    regularity.
     """
-    return _solve_pairs(spec, grid, None, delta)[0]
+    return _solve_pairs(spec, grid, None)[0]
 
 
-def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float) -> list:
+def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps) -> list:
     """Riccati pairs of several convexified neighbours in one sweep.
 
     ``eps`` None solves ``spec`` itself; otherwise rung e is the game
@@ -319,9 +304,9 @@ def _solve_pairs(spec: GameSpec, grid: TimeGrid, eps, delta: float) -> list:
     mu1, mu2 = _signed_block_margins(Sig, spec.m1)
     out = []
     for e in range(E):
-        P_sol = _solution(grid, delta, times, values[:, e, 0], node_index,
+        P_sol = _solution(grid, times, values[:, e, 0], node_index,
                           mu1[:, e, 0], mu2[:, e, 0], res[e, 0], asym[e])
-        Pi_sol = _solution(grid, delta, times, values[:, e, 1], node_index,
+        Pi_sol = _solution(grid, times, values[:, e, 1], node_index,
                            mu1[:, e, 1], mu2[:, e, 1], res[e, 1], asym[e])
         out.append((P_sol, Pi_sol))
     return out
@@ -339,14 +324,3 @@ def check_comparison(P: RiccatiSolution, P1: RiccatiSolution,
     passed = bool(lower.min() >= -tol and upper.min() >= -tol)
     return ComparisonReport(margin_lower=lower, margin_upper=upper,
                             tol=tol, passed=passed)
-
-
-def write_riccati_csv(sol: RiccatiSolution, path) -> None:
-    """One row per grid node: t followed by row-major matrix entries."""
-    n = sol.values_fine.shape[-1]
-    header = ["t"] + [f"P_{i}_{j}" for i in range(n) for j in range(n)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, M in zip(sol.grid.nodes, sol.values):
-            row = [f"{t:.17g}"] + [f"{x:.17g}" for x in M.ravel()]
-            fh.write(",".join(row) + "\n")

@@ -48,8 +48,6 @@ __all__ = [
     "evaluate_functional_mc",
     "SaddleReport",
     "verify_saddle",
-    "write_moments_csv",
-    "write_feedback_csv",
 ]
 
 # Monte Carlo paths simulated at once: bounds the increments' memory,
@@ -639,34 +637,3 @@ def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6) -> SaddleReport:
                         quadratic_defect=float(defect), players=players,
                         stationarity=lin, curvature=quad, tol=tol,
                         curvature_tol=_CURVATURE_TOL)
-
-
-def write_moments_csv(path, moments: MomentPath) -> None:
-    """Boundary rows of the moment path: t, mean, covariance, control mean."""
-    n = moments.mean.shape[1]
-    m = moments.control_mean.shape[1]
-    header = (["t"] + [f"mean_{i}" for i in range(n)]
-              + [f"cov_{i}_{j}" for i in range(n) for j in range(n)]
-              + [f"control_mean_{k}" for k in range(m)])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(0, moments.times.shape[0], 2):
-            row = ([f"{moments.times[k]:.17g}"]
-                   + [f"{x:.17g}" for x in moments.mean[k]]
-                   + [f"{x:.17g}" for x in moments.cov[k].ravel()]
-                   + [f"{x:.17g}" for x in moments.control_mean[k]])
-            fh.write(",".join(row) + "\n")
-
-
-def write_feedback_csv(path, law: FeedbackLaw) -> None:
-    """Boundary rows of the feedback gains: t, then both gain matrices."""
-    m, n = law.gain.shape[1], law.gain.shape[2]
-    header = (["t"] + [f"gain_{i}_{j}" for i in range(m) for j in range(n)]
-              + [f"mean_gain_{i}_{j}" for i in range(m) for j in range(n)])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(0, law.times.shape[0], 2):
-            row = ([f"{law.times[k]:.17g}"]
-                   + [f"{x:.17g}" for x in law.gain[k].ravel()]
-                   + [f"{x:.17g}" for x in law.mean_gain[k].ravel()])
-            fh.write(",".join(row) + "\n")

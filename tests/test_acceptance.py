@@ -133,7 +133,7 @@ def test_criterion_03_spread_game_verdicts(ladder61):
 def test_criterion_04_degenerate_saddle_recovery(family52):
     spec, grid, fam = family52
     target = ControlLaw.from_offset(spec, grid, np.array([0.0, -1.0]))
-    dist = control_distance(spec, fam.limit, target, [1.0], grid)
+    dist = control_distance(spec, fam.limit, target, [1.0])
 
     # cross-check on a sectioned basis; 64 windows need 64 | N
     sec = build_section(spec, TimeGrid(1.0, 2048), 64)

@@ -29,6 +29,9 @@ def run(capsys, *argv):
     return code, report, captured
 
 
+_EXAMPLE61 = Path(mflqg.__file__).parent / "data" / "example61.json"
+
+
 def strip_timings(report):
     return {k: v for k, v in report.items() if k != "timings"}
 
@@ -67,12 +70,10 @@ def test_solve_reports_the_pair_solves_margins(capsys):
     code, rep, _ = run(capsys, "solve", "--example", "61", "--eps", "0.5",
                        "--grid", "200")
     assert code == EXIT_PASS
-    spec, _ = load_config(Path(mflqg.__file__).parent / "data"
-                          / "example61.json")
+    spec, _ = load_config(_EXAMPLE61)
     P, Pi = solve_riccati_pair(embed_perturbation(spec, 0.5),
                                TimeGrid(1.0, 200))
     riccati = rep["stages"]["riccati"]
-    assert P.strongly_regular and Pi.strongly_regular
     assert riccati["strongly_regular"] is True
     margins = dict(riccati["margins"])
     assert margins.pop("required_at_least") == 1e-8
@@ -80,6 +81,20 @@ def test_solve_reports_the_pair_solves_margins(capsys):
                        "player_2": P.regularity_margin_2.min(),
                        "mean_player_1": Pi.regularity_margin_1.min(),
                        "mean_player_2": Pi.regularity_margin_2.min()}
+
+
+def test_strong_regularity_is_every_margin_against_delta(capsys):
+    args = ("solve", "--example", "61", "--eps", "0.5", "--grid", "40")
+    _, rep, _ = run(capsys, *args)
+    smallest = min(v for k, v in rep["stages"]["riccati"]["margins"].items()
+                   if k != "required_at_least")
+    for delta, regular in ((np.nextafter(smallest, -np.inf), True),
+                           (smallest, True),
+                           (np.nextafter(smallest, np.inf), False)):
+        _, rep, _ = run(capsys, *args, "--delta", repr(float(delta)))
+        riccati = rep["stages"]["riccati"]
+        assert riccati["margins"]["required_at_least"] == delta
+        assert riccati["strongly_regular"] is regular, delta
 
 
 def test_solve_reports_the_checks_its_spec_passed(capsys, tmp_path):
@@ -399,6 +414,100 @@ def test_solve_reports_its_tol(capsys):
     assert rep["stages"]["feedback"]["stationarity_sup"]["tol"] == 1e-3
 
 
+# ------------------------------------------------------- output files
+
+_OUTPUT_RUNS = {
+    "solve": ("solve", "--example", "61", "--eps", "0.5", "--grid", "100"),
+    "check": ("check", "--example", "61", "--grid", "100", "--blocks", "2"),
+    "perturb": ("perturb", "--example", "61", "--x", "0", "--grid", "100",
+                "--eps-steps", "4"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_RUNS))
+def test_every_csv_has_one_dialect(capsys, tmp_path, command):
+    # a header row, %.17g numbers, lines ending in \n, the same bytes on
+    # every run
+    files = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        code, _, _ = run(capsys, *_OUTPUT_RUNS[command], "--out", str(out))
+        assert code == EXIT_PASS
+        files.append({p.name: p.read_bytes()
+                      for p in sorted(out.glob("*.csv"))})
+    assert files[0] == files[1]
+    assert files[0], "no CSV written"
+    for name, data in files[0].items():
+        assert b"\r" not in data, name
+        header, *rows = data.decode().split("\n")[:-1]
+        assert rows and all(not _is_number(c) for c in header.split(",")), name
+        numbers = [c for row in rows for c in row.split(",") if _is_number(c)]
+        assert numbers, name
+        for cell in numbers:
+            assert "%.17g" % float(cell) == cell, (name, cell)
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _csv_lines(path):
+    return path.read_text().strip().splitlines()
+
+
+def test_solve_writes_riccati_csv(capsys, tmp_path):
+    code, _, _ = run(capsys, "solve", "--example", "61", "--eps", "1",
+                     "--grid", "50", "--out", str(tmp_path))
+    assert code == EXIT_PASS
+    P, Pi = solve_riccati_pair(embed_perturbation(
+        load_config(_EXAMPLE61)[0], 1.0), TimeGrid(1.0, 50))
+    for name, sol in (("riccati.csv", P), ("mean_riccati.csv", Pi)):
+        lines = _csv_lines(tmp_path / name)
+        assert lines[0] == "t,P_0_0"
+        assert len(lines) == 50 + 2
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0
+        assert float(first[1]) == sol.values[0, 0, 0]
+
+
+def test_solve_writes_feedback_and_moments_csv(capsys, tmp_path):
+    code, _, _ = run(capsys, "solve", "--example", "61", "--eps", "0.5",
+                     "--grid", "500", "--out", str(tmp_path))
+    assert code == EXIT_PASS
+    lines = _csv_lines(tmp_path / "feedback.csv")
+    assert lines[0] == "t,gain_0_0,gain_1_0,mean_gain_0_0,mean_gain_1_0"
+    assert len(lines) == 502    # header + N+1 boundary rows
+    lines = _csv_lines(tmp_path / "moments.csv")
+    assert lines[0] == "t,mean_0,cov_0_0,control_mean_0,control_mean_1"
+    assert len(lines) == 502
+    assert all(len(row.split(",")) == 5 for row in lines[1:])
+
+
+def test_perturb_writes_family_csv(capsys, tmp_path):
+    code, _, _ = run(capsys, "perturb", "--example", "61", "--x", "0",
+                     "--grid", "50", "--eps0", "0.5", "--eps-steps", "3",
+                     "--out", str(tmp_path))
+    assert code == EXIT_PASS
+    lines = _csv_lines(tmp_path / "family.csv")
+    assert lines[0] == "eps,control_norm,value"
+    assert len(lines) == 4
+    assert float(lines[1].split(",")[0]) == 0.5
+
+
+def test_check_writes_section_csv(capsys, tmp_path):
+    code, _, _ = run(capsys, "check", "--example", "61", "--grid", "100",
+                     "--blocks", "1", "--out", str(tmp_path))
+    assert code == EXIT_PASS
+    lines = _csv_lines(tmp_path / "section.csv")
+    assert lines[0] == "part,i,j,value"
+    d = 2                       # one block per control coordinate
+    assert len(lines) == 1 + d * d + d * 1 + 1 * 1
+    assert lines[1].startswith("M,0,0,")
+
+
 # ------------------------------------------------------ configuration
 
 def test_missing_config_file(capsys, tmp_path):
@@ -443,9 +552,16 @@ _ASYMMETRIC_Q = {
     ({"dims": {"n": 1, "m1": 0, "m2": 1}, "coefficients": {},
       "weights": {"G": [[-1.0]]}},
      "dims.m1 must be an integer >= 1, got 0"),
+    ({"horizon": True}, "horizon must be a number, got True"),
+    ({"horizon": "1.0"}, "horizon must be a number, got '1.0'"),
+    ({"weights": {"A": {"kind": "constant", "data": [[1.0]]}}},
+     "weights.A: not one of"),
+    ({"coefficients": {"Q": {"kind": "constant", "data": [[1.0]]}}},
+     "coefficients.Q: not one of"),
 ], ids=["horizon-zero", "horizon-negative", "horizon-nan",
         "horizon-negative-piecewise", "dims-fraction", "G-shape", "G-nan",
-        "Q-asymmetric", "m1-zero"])
+        "Q-asymmetric", "m1-zero", "horizon-bool", "horizon-string",
+        "A-under-weights", "Q-under-coefficients"])
 def test_bad_config_values_are_input_errors(capsys, tmp_path, changes,
                                             message):
     cfg = {"dims": {"n": 1, "m1": 1, "m2": 1}, "horizon": 1.0,

@@ -70,8 +70,8 @@ def _sample_paths():
 def test_sample_equals_eval_bitwise(path):
     grid = TimeGrid(1.0, 500)
     assert grid.nodes[225] == 0.45
-    t0 = grid.nodes[1:]
-    times = np.concatenate((grid.half_times, t0 + 0.5 * (grid.nodes[:-1] - t0),
+    # the half grid, and the uniform one its midpoints differ from
+    times = np.concatenate((grid.half_times, np.linspace(0.0, 1.0, 1001),
                             [0.0, 0.45, 0.3, 1.0, np.nextafter(0.45, 0.0)]))
     out = path.sample(times)
     assert out.shape == (times.shape[0], path.rows, path.cols)

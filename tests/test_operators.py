@@ -7,7 +7,7 @@ from mflqg.model import ControlLaw, TimeGrid, embed_perturbation
 from mflqg.operators import (BlockOperator, build_section,
                              check_necessary_condition, contraction_norm,
                              lemma_psd_gap, perturbed_inverse,
-                             solve_section_saddle, write_section_csv)
+                             solve_section_saddle)
 from mflqg.riccati import solve_riccati_pair
 from mflqg.synthesis import _MomentEngine, build_feedback, evaluate_functional
 
@@ -272,29 +272,12 @@ def test_section_saddle_on_definite_instance():
     assert sol.norm == pytest.approx(2.0, abs=1e-9)
     # the sectioned value reaches the game value -(1+eps)/eps * x^2
     assert sol.value == pytest.approx(-3.0, abs=1e-9)
-    assert sol.norm_bound_ok is None
 
 
 def test_section_saddle_raises_on_degenerate_instance():
     sec = build_section(make_example52(), TimeGrid(1.0, 256), 8)
     with pytest.raises(np.linalg.LinAlgError, match="uniformly definite"):
         solve_section_saddle(sec, [1.0], eps=0.0)
-    sol = solve_section_saddle(sec, [1.0], eps=1e-4,
-                               reference=np.ones(16))
+    sol = solve_section_saddle(sec, [1.0], eps=1e-4)
     assert sol.residual <= 1e-8
     assert sol.norm == pytest.approx(1.0, abs=1e-4)
-    assert sol.norm_bound_ok is True
-    tight = solve_section_saddle(sec, [1.0], eps=1e-4,
-                                 reference=np.full(16, 0.01))
-    assert tight.norm_bound_ok is False
-
-
-def test_write_section_csv(tmp_path):
-    sec = build_section(make_example61(), TimeGrid(1.0, 100), 1)
-    out = tmp_path / "sec.csv"
-    write_section_csv(sec, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "part,i,j,value"
-    d = sec.m_section.d1 + sec.m_section.d2
-    assert len(lines) == 1 + d * d + d * 1 + 1 * 1
-    assert lines[1].startswith("M,0,0,")

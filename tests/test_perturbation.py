@@ -7,8 +7,7 @@ from mflqg._integrate import _mv, _T, _TimeArrays
 from mflqg.model import TimeGrid, embed_perturbation
 from mflqg.perturbation import (EpsSchedule, _chain_distances, _law_parts,
                                 _sample, _stage_times, build_eps_iterate,
-                                classify_family, control_distance,
-                                write_family_csv)
+                                classify_family, control_distance)
 from mflqg.riccati import RegularityError, solve_riccati_pair
 from mflqg.synthesis import (build_feedback, evaluate_functional,
                              propagate_moments, verify_saddle)
@@ -48,11 +47,11 @@ def test_eps_iterate_tracks_closed_form(iterates61):
 
 def test_control_distance_between_ladder_steps(iterates61):
     spec, grid, a, b = iterates61
-    d = control_distance(spec, a, b, [1.0], grid)
+    d = control_distance(spec, a, b, [1.0])
     # controls are x/eps along nearly identical mean flows: gap is 10
     assert d == pytest.approx(10.0, rel=1e-5)
-    assert control_distance(spec, b, a, [1.0], grid) == d
-    assert control_distance(spec, a, a, [1.0], grid) == 0.0
+    assert control_distance(spec, b, a, [1.0]) == d
+    assert control_distance(spec, a, a, [1.0]) == 0.0
 
 
 def test_classify_blowup_family():
@@ -73,22 +72,6 @@ def test_classify_flat_family_verifies_saddle():
     assert np.max(rep.norms) <= 1e-12          # zero is the limit law
     assert rep.limit is not None
     assert rep.saddle is not None and rep.saddle.is_saddle
-
-
-def test_write_family_csv(tmp_path):
-    rep = classify_family(make_example61(), EpsSchedule(0.5, 0.5, 3),
-                          [0.0], TimeGrid(1.0, 50), verify=False)
-    out = tmp_path / "family.csv"
-    write_family_csv(rep, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "eps,control_norm,value"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.5
-    # byte determinism
-    again = tmp_path / "family2.csv"
-    write_family_csv(rep, again)
-    assert out.read_bytes() == again.read_bytes()
 
 
 @pytest.mark.parametrize("make, sched, N", [

@@ -8,12 +8,12 @@ import pytest
 
 import mflqg._integrate
 import mflqg.riccati
-from mflqg._integrate import _TimeArrays, integrate_backward, stage_times
-from mflqg.model import GameSpec, TimeGrid, embed_perturbation
+from mflqg._integrate import _TimeArrays, integrate_backward
+from mflqg.model import (DEFAULT_DELTA, GameSpec, TimeGrid,
+                         embed_perturbation)
 from mflqg.perturbation import EpsSchedule
 from mflqg.riccati import (RegularityError, check_comparison,
-                           solve_control_riccati, solve_riccati_pair,
-                           write_riccati_csv)
+                           solve_control_riccati, solve_riccati_pair)
 
 from conftest import (make_example52, make_example61, random_instance,
                       solve_game)
@@ -34,7 +34,8 @@ def test_example61_matches_closed_form(eps):
     exact = _analytic_61(eps)(grid.nodes)
     assert np.max(np.abs(P.values[:, 0, 0] - exact)) <= 1e-6
     assert np.max(np.abs(Pi.values[:, 0, 0] - exact)) <= 1e-6
-    assert P.strongly_regular
+    assert min(P.regularity_margin_1.min(),
+               P.regularity_margin_2.min()) >= DEFAULT_DELTA
     assert P.asymmetry_sup <= 1e-12
 
 
@@ -53,7 +54,6 @@ def test_example61_margins_are_analytic():
                                np.full_like(s, 1.0 + eps), atol=1e-9)
     np.testing.assert_allclose(Pi.regularity_margin_2, (1.0 + eps) - Pex,
                                atol=1e-8)
-    assert P.strongly_regular and Pi.strongly_regular
 
 
 def test_pair_agrees_with_separate_game_solve():
@@ -191,7 +191,7 @@ def test_overflowing_trial_steps_do_not_warn():
     # integrator rejects them, so numpy's warnings would be noise
     pairs = mflqg.riccati._solve_pairs(
         make_example52(), TimeGrid(1.0, 150),
-        EpsSchedule(0.1024, 0.5, 11).values, 0.0)
+        EpsSchedule(0.1024, 0.5, 11).values)
     assert len(pairs) == 11
 
 
@@ -260,7 +260,8 @@ def _half_grid_game():
 
 def test_time_arrays_match_per_time_oracle():
     grid = TimeGrid(1.0, 500)
-    times = np.concatenate((grid.half_times, stage_times(grid),
+    # the half grid, and the uniform one its midpoints differ from
+    times = np.concatenate((grid.half_times, np.linspace(0.0, 1.0, 1001),
                             [0.45, 1.0, 0.3]))
     for spec in (_half_grid_game(), make_example52(), make_example61()):
         ta = _TimeArrays(spec, times)
@@ -363,7 +364,7 @@ def _states(rng, lead, n):
 
 _GRID = TimeGrid(1.0, 50)
 # a stage time the solvers pre-fill, and one inside no fast interval
-_TIMES = {"stage": float(stage_times(_GRID)[7]), "miss": 0.123456789}
+_TIMES = {"stage": float(_GRID.half_times[7]), "miss": 0.123456789}
 
 
 def _time_varying_n3():
@@ -406,7 +407,7 @@ def test_pair_slope_matches_two_equation_oracle(monkeypatch, case, when):
     else:
         shift = mflqg.riccati._eps_shift(spec, eps)
         rhs = _solver_rhs(monkeypatch, lambda: mflqg.riccati._solve_pairs(
-            spec, _GRID, eps, 0.0))
+            spec, _GRID, eps))
     t = _TIMES[when]
     Y = _states(np.random.default_rng(11), (shift.shape[0], 2), spec.n)
     sizes = _single_samples(monkeypatch)
@@ -505,7 +506,7 @@ def _map_games(case):
     grid = TimeGrid(1.0, 150)
     if case == "ex52-ladder":
         spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
-        pairs = mflqg.riccati._solve_pairs(spec, grid, eps, 0.0)
+        pairs = mflqg.riccati._solve_pairs(spec, grid, eps)
         return [(embed_perturbation(spec, e), P, Pi)
                 for e, (P, Pi) in zip(eps, pairs)]
     spec = (embed_perturbation(make_example61(), 0.5) if case == "ex61"
@@ -535,23 +536,3 @@ def test_control_margins_match_written_out_weights(case):
             mu, mub = _oracle_control_margins(spec, sol, player)
             assert sol.regularity_margin_1.tobytes() == mu.tobytes()
             assert sol.regularity_margin_2.tobytes() == mub.tobytes()
-
-
-# ---------------------------------------------------------------- csv
-
-def test_write_riccati_csv(tmp_path):
-    spec = embed_perturbation(make_example61(), 1.0)
-    grid = TimeGrid(1.0, 50)
-    P, _ = solve_riccati_pair(spec, grid)
-    out = tmp_path / "p.csv"
-    write_riccati_csv(P, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,P_0_0"
-    assert len(lines) == grid.N + 2
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(P.values[0, 0, 0])
-    # byte-for-byte reproducible
-    out2 = tmp_path / "p2.csv"
-    write_riccati_csv(P, out2)
-    assert out.read_bytes() == out2.read_bytes()

@@ -3,7 +3,9 @@
 Every function ``mflqg`` exports must be read by the package itself
 (the CLI included), the benchmark's workloads, the acceptance gate or
 its fixtures; one only unit tests call belongs under ``tests/``.
-Classes are exempt.  The check parses source files and imports nothing.
+Classes are exempt.  Every parameter of every function in the package
+must be read by its body.  The checks parse source files and import
+nothing.
 """
 
 import ast
@@ -20,6 +22,14 @@ EXCEPTIONS = {
         "the public one-rung path the batched ladder is checked against, "
         "and the only caller of the perturbation.build_feedback and "
         "perturbation.evaluate_functional names bench/spans.py wraps"),
+}
+
+# parameters their function's body does not read, each with its reason
+UNREAD_PARAMETERS = {
+    ("riccati.py", "_terms", name): (
+        "the map's argument order is every view's, so ``*view`` unpacks "
+        "into it as into _slope")
+    for name in ("A", "Q")
 }
 
 
@@ -58,3 +68,22 @@ def test_every_exported_function_has_a_reader():
     unread = ({elt.value for elt in exports.elts} & functions) - read
     assert unread - set(EXCEPTIONS) == set(), "only unit tests call these"
     assert set(EXCEPTIONS) <= unread, "these exceptions now have a reader"
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            unread |= {(path.name, getattr(node, "name", "lambda"), param)
+                       for param in params if param not in read}
+    assert unread == set(UNREAD_PARAMETERS)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mflqg._integrate import _mv, _sym, _T, _TimeArrays, hermite_midpoint
-from mflqg.model import (DEFAULT_DELTA, CoefficientPath, ControlLaw,
-                         GameSpec, TimeGrid, embed_perturbation)
+from mflqg.model import (CoefficientPath, ControlLaw, GameSpec, TimeGrid,
+                         embed_perturbation)
 from mflqg.perturbation import EpsSchedule
 from mflqg.riccati import (GridMismatchError, RegularityError, _eps_shift,
                            _solve_pairs, solve_riccati_pair)
@@ -14,8 +14,7 @@ from mflqg.synthesis import (_RK4, FeedbackLaw, _direction_shapes,
                              _open_loop_gradient, _simpson_weights,
                              build_feedback, evaluate_functional,
                              evaluate_functional_mc, propagate_moments,
-                             stationarity_residual, verify_saddle,
-                             write_feedback_csv, write_moments_csv)
+                             stationarity_residual, verify_saddle)
 
 from conftest import make_example52, make_example61, random_instance
 
@@ -482,8 +481,7 @@ def _assert_close(ours, ref, tol=1e-12):
 def test_ladder_moment_march_matches_loop_oracle(make, sched, x):
     # the ladder's engine: one law per rung on the shared partition
     spec = make()
-    pairs = _solve_pairs(spec, TimeGrid(1.0, 250), sched.values,
-                         DEFAULT_DELTA)
+    pairs = _solve_pairs(spec, TimeGrid(1.0, 250), sched.values)
     times = pairs[0][0].times
     shift = _eps_shift(spec, sched.values)
     ta = _TimeArrays(spec, times)
@@ -625,7 +623,7 @@ def _map_rungs(case):
     """(spec, P, Pi, shift, game the law solves) of one case's rungs."""
     if case == "ex52-ladder":
         spec, eps = make_example52(), EpsSchedule(0.1024, 0.5, 11).values
-        pairs = _solve_pairs(spec, TimeGrid(1.0, 150), eps, DEFAULT_DELTA)
+        pairs = _solve_pairs(spec, TimeGrid(1.0, 150), eps)
         return [(spec, P, Pi, shift, embed_perturbation(spec, e))
                 for e, shift, (P, Pi) in zip(eps, _eps_shift(spec, eps),
                                              pairs)]
@@ -654,21 +652,3 @@ def test_feedback_and_stationarity_match_written_out_map(case):
                           mean_riccati=Pi.values_fine, **ours)
         assert (stationarity_residual(game, law)
                 == _oracle_stationarity(game, law))
-
-
-# ---------------------------------------------------------------- csv
-
-def test_write_feedback_and_moments_csv(tmp_path, law61):
-    spec, law = law61
-    fpath = tmp_path / "fb.csv"
-    write_feedback_csv(fpath, law)
-    lines = fpath.read_text().strip().splitlines()
-    assert lines[0] == "t,gain_0_0,gain_1_0,mean_gain_0_0,mean_gain_1_0"
-    assert len(lines) == 502    # header + N+1 boundary rows
-
-    mpath = tmp_path / "mo.csv"
-    write_moments_csv(mpath, propagate_moments(spec, law, [1.0]))
-    lines = mpath.read_text().strip().splitlines()
-    assert lines[0] == "t,mean_0,cov_0_0,control_mean_0,control_mean_1"
-    assert len(lines) == 502
-    assert all(len(row.split(",")) == 5 for row in lines[1:])
