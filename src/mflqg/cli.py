@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._integrate import IntegrationError
 from .model import (DEFAULT_DELTA, SYMMETRY_TOL, CoefficientPath,
                     Coefficients, ControlLaw, CostWeights, GameSpec,
                     TimeGrid, embed_perturbation)
@@ -28,7 +27,8 @@ from .synthesis import (build_feedback, evaluate_functional,
                         evaluate_functional_mc, propagate_moments,
                         stationarity_residual, verify_saddle)
 from .operators import build_section, check_necessary_condition
-from .perturbation import EpsSchedule, classify_family, control_distance
+from .perturbation import (EpsSchedule, build_eps_iterate, classify_family,
+                           control_distance)
 
 __all__ = ["main", "load_config"]
 
@@ -64,15 +64,27 @@ def _path_from_config(obj, horizon: float, name: str) -> CoefficientPath:
                      "(expected constant, piecewise, or polynomial)")
 
 
+def _object(obj, names, where: str) -> dict:
+    """obj, if it is a JSON object whose keys are all among names; else
+    an input error naming ``where`` or the first other key."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object, got "
+                         f"{type(obj).__name__}")
+    other = [key for key in obj if key not in names]
+    if other:
+        raise InputError(f"{where}.{other[0]}: not one of {', '.join(names)}")
+    return obj
+
+
 def load_config(path) -> tuple[GameSpec, dict]:
     """Parse a JSON game config into a GameSpec.
 
     Top-level keys: dims {n, m1, m2}, horizon, coefficients {...},
     weights {...}.  Coefficient and weight entries are path objects
     {kind, data} except G and Gbar, which are plain matrices.  Each
-    section takes only its own dataclass's field names.  Anything
-    omitted is zero.  The GameSpec decides what a game is; whatever it
-    rejects is an input error here.
+    object takes only its own names: a key it does not know is an input
+    error.  Anything omitted is zero.  The GameSpec decides what a game
+    is; whatever it rejects is an input error here.
     """
     try:
         with open(path) as fh:
@@ -81,6 +93,8 @@ def load_config(path) -> tuple[GameSpec, dict]:
         raise InputError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config is not valid JSON: {exc}") from exc
+    _object(raw, ("dims", "horizon", "coefficients", "weights"), "config")
+    _object(raw.get("dims", {}), ("n", "m1", "m2"), "dims")
     try:
         dims = raw["dims"]
         # JSON does not tell 2.0 from 2
@@ -97,12 +111,10 @@ def load_config(path) -> tuple[GameSpec, dict]:
     for section, fields in (("coefficients", Coefficients),
                             ("weights", CostWeights)):
         names = [f.name for f in dataclasses.fields(fields)]
-        for name, obj in (raw.get(section) or {}).items():
-            key = f"{section}.{name}"
-            if name not in names:
-                raise InputError(f"{key}: not one of {', '.join(names)}")
-            kw[name] = (obj if name in ("G", "Gbar")
-                        else _path_from_config(obj, horizon, key))
+        for name, obj in _object(raw.get(section, {}), names,
+                                 section).items():
+            kw[name] = (obj if name in ("G", "Gbar") else
+                        _path_from_config(obj, horizon, f"{section}.{name}"))
     try:
         spec = GameSpec.from_matrices(n, m1, m2, horizon, **kw)
     except (ValueError, TypeError) as exc:
@@ -275,7 +287,7 @@ def cmd_solve(args) -> int:
         "margin_1": law.margin_1,
         "margin_2": law.margin_2,
     }
-    value = float(x @ law.initial_mean_riccati @ x)
+    value = law.value_at(x)
     cost = evaluate_functional(spec, law, x)
     gap = {"value": abs(value - cost.value),
            "tol": 1e-4 * (1.0 + float(x @ x))}
@@ -528,26 +540,23 @@ def _reproduce_61() -> tuple[list, dict]:
     rows = []
     grid = TimeGrid(spec.T, 1000)
     for eps in (1.0, 0.5, 0.25, 0.1):
-        shifted = embed_perturbation(spec, eps)
-        P, Pi = solve_riccati_pair(shifted, grid)
+        it = build_eps_iterate(spec, eps, grid, [1.0])
         # closed form of the shifted equations: both matrix paths equal
         # -(1+eps)/(s+eps), and the minimizing gain is 1/(s+eps)
-        nodes = P.grid.nodes
-        exact = -(1.0 + eps) / (nodes + eps)
-        err_p = np.max(np.abs(P.values[:, 0, 0] - exact))
-        err_pi = np.max(np.abs(Pi.values[:, 0, 0] - exact))
+        exact = -(1.0 + eps) / (grid.nodes + eps)
+        err_p = np.max(np.abs(it.riccati.values[:, 0, 0] - exact))
+        err_pi = np.max(np.abs(it.mean_riccati.values[:, 0, 0] - exact))
         rows.append(_row(f"riccati_error_eps_{eps}", err_p, 1e-6))
         rows.append(_row(f"mean_riccati_error_eps_{eps}", err_pi, 1e-6))
-        law = build_feedback(shifted, P, Pi)
+        law = it.feedback
         texact = 1.0 / (law.times + eps)
         err_gain = max(np.max(np.abs(law.gain[:, 0, 0] - texact)),
                        np.max(np.abs(law.gain[:, 1, 0])),
                        np.max(np.abs(law.mean_gain[:, 0, 0] - texact)),
                        np.max(np.abs(law.mean_gain[:, 1, 0])))
         rows.append(_row(f"gain_error_eps_{eps}", err_gain, 1e-6))
-        cost = evaluate_functional(shifted, law, [1.0])
         rows.append(_row(f"norm_sq_rel_error_eps_{eps}",
-                         abs(cost.control_norm_sq * eps * eps - 1.0), 1e-6))
+                         abs(it.norm_sq * eps * eps - 1.0), 1e-6))
         rows.append(_row(f"value_error_eps_{eps}",
                          abs(law.value_at(np.ones(1)) + (1.0 + eps) / eps),
                          1e-6))
@@ -693,7 +702,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RegularityError, IntegrationError) as exc:
+    except RegularityError as exc:
         t = getattr(exc, "t", None)
         where = f" near t = {t:.6g}" if t is not None else ""
         if args.command == "perturb":

@@ -436,24 +436,6 @@ class ControlLaw:
         return cls(times=_frozen(times), gain=_frozen(np.zeros((K, m, n))),
                    mean_gain=_frozen(np.zeros((K, m, n))), offset=_frozen(off))
 
-    def with_bump(self, spec: GameSpec, player: int, values: np.ndarray,
-                  lam: float) -> "ControlLaw":
-        """New law whose offset gains lam * values in one player's block.
-
-        values has shape (K, m_i) on this law's times.
-        """
-        if player not in (1, 2):
-            raise ValueError("player must be 1 or 2")
-        mi = spec.m1 if player == 1 else spec.m2
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (self.times.shape[0], mi):
-            raise ValueError("bump values not aligned with law times")
-        off = np.array(self.offset)
-        lo = 0 if player == 1 else spec.m1
-        off[:, lo:lo + mi] += lam * vals
-        return ControlLaw(times=self.times, gain=self.gain,
-                          mean_gain=self.mean_gain, offset=_frozen(off))
-
 
 def embed_perturbation(spec: GameSpec, eps: float) -> GameSpec:
     """Two-sided convexification: R11 += eps*I and R22 -= eps*I.

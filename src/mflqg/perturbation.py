@@ -79,8 +79,8 @@ def build_eps_iterate(spec: GameSpec, eps: float, grid: TimeGrid,
                       x) -> EpsIterate:
     """Solve the eps-shifted game and realize its feedback optimum.
 
-    The one-rung composition of the public steps, which the batched
-    ladder of ``classify_family`` is tested against.
+    The one-rung composition of the public steps: ``reproduce 61``'s
+    rungs, and the reference for ``classify_family``'s batched ladder.
     """
     shifted = embed_perturbation(spec, eps)
     P, Pi = solve_riccati_pair(shifted, grid)
@@ -115,7 +115,7 @@ def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x) -> list:
     values, norms_sq, _, _ = engine.run(x, offsets)
     iterates = []
     for e, (eps, (P, Pi)) in enumerate(zip(eps_values, pairs)):
-        law = FeedbackLaw(grid=grid, times=times, node_index=P.node_index,
+        law = FeedbackLaw(times=times, offset=offsets[e],
                           riccati=P.values_fine, mean_riccati=Pi.values_fine,
                           **fields[e])
         iterates.append(EpsIterate(eps=eps, riccati=P, mean_riccati=Pi,
@@ -129,8 +129,6 @@ def _solve_iterates(spec: GameSpec, eps_values, grid: TimeGrid, x) -> list:
 def _law_parts(law) -> tuple:
     if isinstance(law, EpsIterate):
         law = law.feedback
-    if isinstance(law, FeedbackLaw):
-        law = law.as_control_law()
     return law.times, law.gain, law.mean_gain, law.offset
 
 

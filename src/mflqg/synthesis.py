@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import _mv, _sym, _T, _TimeArrays, hermite_midpoint
-from .model import ControlLaw, GameSpec, TimeGrid
+from .model import ControlLaw, GameSpec
 from .riccati import (GridMismatchError, RiccatiSolution, _pair_terms,
                       _signed_block_margins)
 
@@ -59,42 +59,24 @@ _CURVATURE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class FeedbackLaw:
+class FeedbackLaw(ControlLaw):
     """Saddle-candidate feedback synthesized from the Riccati pair.
 
-    Sampled on the refined partition ``times`` (boundaries at even
-    indices, midpoints at odd).  ``gain`` acts on the centered state,
-    ``mean_gain`` on the state mean; ``weight`` and ``mean_weight``
-    are the inverted blocks R + D' P D and R + Rbar + (D+Dbar)' P
-    (D+Dbar).  ``riccati`` and ``mean_riccati`` keep the P and Pi
-    paths the law was built from.
+    A control law with zero offset on the pair's refined partition.
+    ``riccati`` and ``mean_riccati`` keep the P and Pi paths the law
+    was built from; ``margin_1`` and ``margin_2`` are the players'
+    signed weight-block margins along them.
     """
 
-    grid: TimeGrid
-    times: np.ndarray
-    node_index: np.ndarray
-    gain: np.ndarray
-    mean_gain: np.ndarray
-    weight: np.ndarray
-    mean_weight: np.ndarray
     riccati: np.ndarray
     mean_riccati: np.ndarray
     margin_1: np.ndarray
     margin_2: np.ndarray
 
-    @property
-    def initial_mean_riccati(self) -> np.ndarray:
-        return self.mean_riccati[0]
-
     def value_at(self, x) -> float:
         """Game value <Pi(0) x, x> of the saddle candidate."""
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(x @ self.mean_riccati[0] @ x)
-
-    def as_control_law(self) -> ControlLaw:
-        off = np.zeros((self.times.shape[0], self.gain.shape[1]))
-        return ControlLaw(times=self.times, gain=self.gain,
-                          mean_gain=self.mean_gain, offset=off)
 
 
 def build_feedback(spec: GameSpec, P: RiccatiSolution,
@@ -102,20 +84,21 @@ def build_feedback(spec: GameSpec, P: RiccatiSolution,
     """Invert the control weights along P and Pi into feedback gains.
 
     P and Pi must be sampled on one partition, as ``solve_riccati_pair``
-    returns them; the law lives on that partition and P's node index.
+    returns them; the law lives on that partition.
     """
     if not np.array_equal(P.times, Pi.times):
         raise GridMismatchError("P and Pi are not sampled on one partition")
     fields = _feedback_fields(_TimeArrays(spec, P.times), P.values_fine,
                               Pi.values_fine)
-    return FeedbackLaw(grid=P.grid, times=P.times, node_index=P.node_index,
+    return FeedbackLaw(times=P.times,
+                       offset=np.zeros((P.times.shape[0], spec.m)),
                        riccati=P.values_fine, mean_riccati=Pi.values_fine,
                        **fields)
 
 
 def _feedback_fields(ta: _TimeArrays, P: np.ndarray, Pi: np.ndarray,
                      shift=0.0) -> dict:
-    """Gains, inverted weights and margins along sampled P and Pi paths.
+    """Gains and margins along sampled P and Pi paths.
 
     P and Pi are sampled at ``ta``'s times.  ``shift`` is added to R
     and R + Rbar as the pair solve adds it, so a ladder rung's law is
@@ -127,8 +110,8 @@ def _feedback_fields(ta: _TimeArrays, P: np.ndarray, Pi: np.ndarray,
     Sig = _sym(Sig[:, 0])
     gains = -np.linalg.solve(Sig, L[:, 0])
     margin_1, margin_2 = _signed_block_margins(Sig[:, 0], ta.m1)
-    return dict(gain=gains[:, 0], mean_gain=gains[:, 1], weight=Sig[:, 0],
-                mean_weight=Sig[:, 1], margin_1=margin_1, margin_2=margin_2)
+    return dict(gain=gains[:, 0], mean_gain=gains[:, 1], margin_1=margin_1,
+                margin_2=margin_2)
 
 
 def stationarity_residual(spec: GameSpec, law: FeedbackLaw) -> float:
@@ -387,14 +370,6 @@ def _outer(g):
     return (g * _T(g)).reshape(g.shape[:-2] + (-1, 1))
 
 
-def _as_control_law(law) -> ControlLaw:
-    if isinstance(law, FeedbackLaw):
-        return law.as_control_law()
-    if isinstance(law, ControlLaw):
-        return law
-    raise TypeError(f"expected a law, got {type(law).__name__}")
-
-
 @dataclass(frozen=True, eq=False)
 class MomentPath:
     """Mean, covariance, and control mean of one closed-loop run."""
@@ -403,24 +378,20 @@ class MomentPath:
     mean: np.ndarray
     cov: np.ndarray
     control_mean: np.ndarray
-    x0: np.ndarray
 
 
-def propagate_moments(spec: GameSpec, law, x0) -> MomentPath:
+def propagate_moments(spec: GameSpec, law: ControlLaw, x0) -> MomentPath:
     """Exact first and second moments of the controlled state.
 
     The law's offset, gains, and partition fully determine the moment
     flow; no sampling is involved.
     """
-    cl = _as_control_law(law)
-    eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
-    v = cl.offset[None]
-    _, _, mean_path, cov_path = eng.run(x0, v, record=True)
-    eu = (np.einsum("kmn,kn->km", cl.mean_gain, mean_path[0])
-          + cl.offset)
-    return MomentPath(times=cl.times, mean=mean_path[0], cov=cov_path[0],
-                      control_mean=eu,
-                      x0=np.asarray(x0, dtype=float).reshape(spec.n))
+    eng = _MomentEngine(spec, law.times, law.gain, law.mean_gain)
+    _, _, mean_path, cov_path = eng.run(x0, law.offset[None], record=True)
+    eu = (np.einsum("kmn,kn->km", law.mean_gain, mean_path[0])
+          + law.offset)
+    return MomentPath(times=law.times, mean=mean_path[0], cov=cov_path[0],
+                      control_mean=eu)
 
 
 @dataclass(frozen=True)
@@ -431,11 +402,10 @@ class CostReport:
     control_norm_sq: float
 
 
-def evaluate_functional(spec: GameSpec, law, x0) -> CostReport:
+def evaluate_functional(spec: GameSpec, law: ControlLaw, x0) -> CostReport:
     """Game functional J(x0; u) for the law's realized control."""
-    cl = _as_control_law(law)
-    eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
-    value, norm_sq, _, _ = eng.run(x0, cl.offset[None])
+    eng = _MomentEngine(spec, law.times, law.gain, law.mean_gain)
+    value, norm_sq, _, _ = eng.run(x0, law.offset[None])
     return CostReport(value=float(value[0]),
                       control_norm_sq=float(norm_sq[0]))
 
@@ -450,24 +420,25 @@ class MCReport:
     seed: int
 
 
-def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
-                           seed: int = 0) -> MCReport:
+def evaluate_functional_mc(spec: GameSpec, law: ControlLaw, x0,
+                           paths: int = 10000, seed: int = 0) -> MCReport:
     """Estimate J(x0; u) by Euler-Maruyama on the fluctuation process.
 
     The state mean is taken from the exact moment flow and only the
     centered part is simulated, so specs without noise reproduce the
     quadrature value path by path.  Fixing seed and paths fixes the
-    estimate exactly; paths are simulated ``_MC_BLOCK`` at a time.
+    estimate exactly; paths are simulated ``_MC_BLOCK`` at a time,
+    state-major: a block's fluctuations are the columns of one (n,
+    paths) array.
     """
-    cl = _as_control_law(law)
-    eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
+    eng = _MomentEngine(spec, law.times, law.gain, law.mean_gain)
     ta = eng.ta
-    _, _, mean_path, _ = eng.run(x0, cl.offset[None], record=True)
+    _, _, mean_path, _ = eng.run(x0, law.offset[None], record=True)
     mean = mean_path[0]
-    eu = np.einsum("kmn,kn->km", cl.mean_gain, mean) + cl.offset
+    eu = np.einsum("kmn,kn->km", law.mean_gain, mean) + law.offset
     g = (np.einsum("kij,kj->ki", ta.Csum, mean)
-         + np.einsum("kim,km->ki", ta.Dsum, eu))
-    times = cl.times
+         + np.einsum("kim,km->ki", ta.Dsum, eu))[..., None]
+    times = law.times
     K, n = times.shape[0], spec.n
     dt = np.diff(times)
     sq = np.sqrt(dt)
@@ -476,15 +447,17 @@ def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
     # closed-loop weight W, lin, and the cost of the means, to which the
     # path-independent mean-field terms are added
     lin = (_mv(ta.Q, mean) + _mv(_T(ta.S), eu)
-           + _mv(_T(cl.gain), _mv(ta.S, mean) + _mv(ta.R, eu)))
+           + _mv(_T(law.gain), _mv(ta.S, mean) + _mv(ta.R, eu)))
     const = (np.einsum("ki,kij,kj->k", mean, ta.Qsum, mean)
              + 2.0 * np.einsum("km,kmn,kn->k", eu, ta.Ssum, mean)
              + np.einsum("km,kmr,kr->k", eu, ta.Rsum, eu))
     w = np.convolve(dt, (0.5, 0.5))       # trapezoid weights
-    wW, wlin2 = w[:, None, None] * eng.W[0], (2.0 * w)[:, None] * lin
-    G_mean = 2.0 * ta.G @ mean[-1]
+    # a path's Y' W Y is (W' Y) . Y; W is symmetric only up to roundoff
+    wW = w[:, None, None] * _T(eng.W[0])
+    wlin2 = ((2.0 * w)[:, None] * lin)[..., None]
+    G_mean = (2.0 * ta.G @ mean[-1])[:, None]
     fixed = float(w @ const) + float(mean[-1] @ ta.Gsum @ mean[-1])
-    FT, GT = _T(eng.F[0]), _T(eng.Gm[0])
+    F, Gm = eng.F[0], eng.Gm[0]
 
     rng = np.random.default_rng(seed)
     totals = np.empty(paths)
@@ -493,13 +466,13 @@ def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
         bp = min(_MC_BLOCK, paths - done)
         # time-major increments, so each step reads one contiguous row
         dW = np.ascontiguousarray((rng.standard_normal((bp, K - 1)) * sq).T)
-        Y = np.zeros((bp, n))
+        Y = np.zeros((n, bp))
         acc = np.zeros(bp)
         for i in range(K - 1):
-            Y = Y + dt[i] * (Y @ FT[i]) + (Y @ GT[i] + g[i]) * dW[i, :, None]
-            acc += np.einsum("pi,pi->p", Y @ wW[i + 1] + wlin2[i + 1], Y)
+            Y = Y + dt[i] * (F[i] @ Y) + (Gm[i] @ Y + g[i]) * dW[i]
+            acc += np.einsum("ip,ip->p", wW[i + 1] @ Y + wlin2[i + 1], Y)
         # the terminal cost's path-dependent part Y' G Y + 2 mean' G Y
-        acc += np.einsum("pi,pi->p", Y @ ta.G + G_mean, Y)
+        acc += np.einsum("ip,ip->p", ta.G.T @ Y + G_mean, Y)
         totals[done:done + bp] = acc + fixed
         done += bp
     value = float(np.mean(totals))
@@ -514,7 +487,7 @@ def evaluate_functional_mc(spec: GameSpec, law, x0, paths: int = 10000,
 # open-loop deviations and saddle verification
 # ----------------------------------------------------------------------
 
-def _open_loop_gradient(eng: _MomentEngine, cl: ControlLaw,
+def _open_loop_gradient(eng: _MomentEngine, law: ControlLaw,
                         mean: np.ndarray) -> np.ndarray:
     """Mean E[rho] of the open-loop gradient along a law's realization.
 
@@ -527,13 +500,13 @@ def _open_loop_gradient(eng: _MomentEngine, cl: ControlLaw,
     Dsum' Lam g + Ssum m + Rsum E[u], and a deterministic bump b moves
     the functional by 2 int <E[rho], b> to first order.
     """
-    ta, times, n = eng.ta, cl.times, eng.ta.n
+    ta, times, n = eng.ta, law.times, eng.ta.n
     F, Gm = eng.F[0], eng.Gm[0]
-    forcing = -(ta.Q + _T(ta.S) @ cl.gain).reshape(-1, n * n, 1)
+    forcing = -(ta.Q + _T(ta.S) @ law.gain).reshape(-1, n * n, 1)
     Lam = _linear_path(times, -_vec_op(_T(ta.A), _T(F), _T(ta.C), _T(Gm)),
                        forcing, ta.G.reshape(n * n, 1),
                        backward=True).reshape(-1, n, n)
-    eu = _mv(cl.mean_gain, mean) + cl.offset
+    eu = _mv(law.mean_gain, mean) + law.offset
     Lg = _mv(Lam, _mv(ta.Csum, mean) + _mv(ta.Dsum, eu))
     drive = _mv(ta.Qsum, mean) + _mv(_T(ta.Ssum), eu) + _mv(_T(ta.Csum), Lg)
     lam = _linear_path(times, -_T(ta.Asum), -drive[..., None],
@@ -586,7 +559,8 @@ class SaddleReport:
     curvature_tol: float
 
 
-def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6) -> SaddleReport:
+def verify_saddle(spec: GameSpec, law: ControlLaw, x0,
+                  tol: float = 1e-6) -> SaddleReport:
     """Verify the saddle property of a law against open-loop bumps.
 
     Each player's realized control is bumped along unit-norm window
@@ -599,9 +573,8 @@ def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6) -> SaddleReport:
     run, and ``quadratic_defect`` its gap to the law's quadratic form.
     ``tol`` bounds stationarity and ``_CURVATURE_TOL`` curvature.
     """
-    cl = _as_control_law(law)
-    K, n, m = cl.times.shape[0], spec.n, spec.m
-    shapes = [shape for _name, shape in _direction_shapes(cl.times)]
+    K, n, m = law.times.shape[0], spec.n, spec.m
+    shapes = [shape for _name, shape in _direction_shapes(law.times)]
     players = np.repeat([1, 2], [spec.m1 * len(shapes),
                                  spec.m2 * len(shapes)])
     # direction (coordinate, shape) bumps one control coordinate
@@ -610,16 +583,16 @@ def verify_saddle(spec: GameSpec, law, x0, tol: float = 1e-6) -> SaddleReport:
         dirs[coord, :, :, coord] = shapes
     dirs = dirs.reshape(-1, K, m)
 
-    eng = _MomentEngine(spec, cl.times, cl.gain, cl.mean_gain)
-    values, _, mean_path, _ = eng.run(x0, cl.offset[None], record=True)
+    eng = _MomentEngine(spec, law.times, law.gain, law.mean_gain)
+    values, _, mean_path, _ = eng.run(x0, law.offset[None], record=True)
     base = float(values[0])
     z = np.append(np.asarray(x0, dtype=float).reshape(n), 1.0)
-    defect = abs(base - z @ eng.form(cl.offset[None]) @ z)
-    grad = _open_loop_gradient(eng, cl, mean_path[0])
-    lin = 2.0 * np.einsum("k,km,dkm->d", _simpson_weights(cl.times), grad,
+    defect = abs(base - z @ eng.form(law.offset[None]) @ z)
+    grad = _open_loop_gradient(eng, law, mean_path[0])
+    lin = 2.0 * np.einsum("k,km,dkm->d", _simpson_weights(law.times), grad,
                           dirs)
-    zero = np.zeros_like(cl.gain)
-    quad = np.diagonal(_MomentEngine(spec, cl.times, zero, zero,
+    zero = np.zeros_like(law.gain)
+    quad = np.diagonal(_MomentEngine(spec, law.times, zero, zero,
                                      arrays=eng.ta).form(dirs))[n:]
     scale = 1.0 + abs(base)
     cur1 = quad[players == 1]

@@ -558,10 +558,18 @@ _ASYMMETRIC_Q = {
      "weights.A: not one of"),
     ({"coefficients": {"Q": {"kind": "constant", "data": [[1.0]]}}},
      "coefficients.Q: not one of"),
+    ({"coefficients": [["B1", 1]]},
+     "coefficients: expected an object, got list"),
+    ({"weights": "G"}, "weights: expected an object, got str"),
+    ({"coeficients": {"B1": {"kind": "constant", "data": [[1.0]]}}},
+     "config.coeficients: not one of dims, horizon, coefficients, weights"),
+    ({"dims": {"n": 1, "m1": 1, "m2": 1, "m3": 1}},
+     "dims.m3: not one of n, m1, m2"),
 ], ids=["horizon-zero", "horizon-negative", "horizon-nan",
         "horizon-negative-piecewise", "dims-fraction", "G-shape", "G-nan",
         "Q-asymmetric", "m1-zero", "horizon-bool", "horizon-string",
-        "A-under-weights", "Q-under-coefficients"])
+        "A-under-weights", "Q-under-coefficients", "coefficients-list",
+        "weights-string", "misspelt-section", "dims-extra-key"])
 def test_bad_config_values_are_input_errors(capsys, tmp_path, changes,
                                             message):
     cfg = {"dims": {"n": 1, "m1": 1, "m2": 1}, "horizon": 1.0,

@@ -230,15 +230,3 @@ def test_from_offset_rejects_misaligned_array(example52):
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError):
         ControlLaw.from_offset(example52, grid, np.zeros((20, 2)))
-
-
-def test_with_bump_targets_one_player(example52):
-    grid = TimeGrid(1.0, 6)
-    law = ControlLaw.zero(example52, grid)
-    K = law.times.shape[0]
-    bump = np.ones((K, 1))
-    bumped = law.with_bump(example52, 2, bump, lam=0.5)
-    assert np.all(bumped.offset[:, 1] == 0.5)
-    assert not np.any(bumped.offset[:, 0])
-    with pytest.raises(ValueError):
-        law.with_bump(example52, 3, bump, lam=1.0)

@@ -1,5 +1,7 @@
 """Convexification ladders: iterates, distances, solvability verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,9 +143,7 @@ def test_batched_ladder_matches_one_rung_realization(case):
         assert it.value == pytest.approx(cost.value, rel=1e-12)
         assert it.norm_sq == pytest.approx(cost.control_norm_sq, rel=1e-12)
         assert np.array_equal(it.feedback.times, law.times)
-        assert np.array_equal(it.feedback.node_index, law.node_index)
-        for name in ("gain", "mean_gain", "weight", "mean_weight",
-                     "margin_1", "margin_2"):
+        for name in ("gain", "mean_gain", "margin_1", "margin_2"):
             ours, ref = getattr(it.feedback, name), getattr(law, name)
             assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -178,9 +178,8 @@ def test_limit_law_certified_on_its_shifted_game():
     # the same law with u2's offset moved by 1e-3 is no saddle of it
     # (its feedback steers the state back, x(T) moves by 6e-7, and the
     # stationarity defect reads 1.2e-6)
-    K = rep.limit.times.shape[0]
-    moved = rep.limit.as_control_law().with_bump(spec, 2, np.ones((K, 1)),
-                                                  1e-3)
+    moved = dataclasses.replace(rep.limit,
+                                offset=rep.limit.offset + [0.0, 1e-3])
     bad = verify_saddle(embed_perturbation(spec, eps), moved, [1.0])
     assert not bad.is_saddle
     assert bad.stationarity_sup > bad.tol

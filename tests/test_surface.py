@@ -16,14 +16,6 @@ PACKAGE = ROOT / "src" / "mflqg"
 USERS = [*PACKAGE.glob("*.py"), ROOT / "bench" / "workloads.py",
          ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
 
-# exported functions without such a reader, each with its reason
-EXCEPTIONS = {
-    "build_eps_iterate": (
-        "the public one-rung path the batched ladder is checked against, "
-        "and the only caller of the perturbation.build_feedback and "
-        "perturbation.evaluate_functional names bench/spans.py wraps"),
-}
-
 # parameters their function's body does not read, each with its reason
 UNREAD_PARAMETERS = {
     ("riccati.py", "_terms", name): (
@@ -66,8 +58,7 @@ def test_every_exported_function_has_a_reader():
                  if isinstance(node, ast.FunctionDef)}
     read = set().union(*map(_reads, USERS))
     unread = ({elt.value for elt in exports.elts} & functions) - read
-    assert unread - set(EXCEPTIONS) == set(), "only unit tests call these"
-    assert set(EXCEPTIONS) <= unread, "these exceptions now have a reader"
+    assert unread == set(), "only unit tests call these"
 
 
 def test_every_parameter_is_read():

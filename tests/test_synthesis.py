@@ -57,12 +57,27 @@ def test_stationarity_residual_vanishes_at_saddle_gains(law61):
     assert stationarity_residual(spec, law) <= 1e-8
 
 
-def test_as_control_law_round_trip(law61):
-    _, law = law61
-    cl = law.as_control_law()
-    np.testing.assert_array_equal(cl.times, law.times)
-    np.testing.assert_array_equal(cl.gain, law.gain)
-    assert not np.any(cl.offset)
+def test_feedback_is_a_control_law_with_zero_offset(law61):
+    spec, law = law61
+    assert isinstance(law, ControlLaw)
+    assert law.offset.shape == (law.times.shape[0], spec.m)
+    assert not np.any(law.offset)
+
+
+def test_feedback_and_its_control_law_evaluate_alike(law61):
+    # every function taking a law reads only its ControlLaw fields
+    spec, law = law61
+    x = np.array([0.7])
+    cl = ControlLaw(times=law.times, gain=law.gain, mean_gain=law.mean_gain,
+                    offset=np.zeros((law.times.shape[0], spec.m)))
+    assert evaluate_functional(spec, law, x) == evaluate_functional(spec,
+                                                                    cl, x)
+    ours, ref = verify_saddle(spec, law, x), verify_saddle(spec, cl, x)
+    for name in ("is_saddle", "value", "stationarity_sup", "curvature_min_1",
+                 "curvature_max_2", "quadratic_defect", "players",
+                 "stationarity", "curvature"):
+        a, b = np.asarray(getattr(ours, name)), np.asarray(getattr(ref, name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_feedback_needs_one_partition():
@@ -299,8 +314,7 @@ def _bump_cases():
         games += 1
 
         def feedback(g, spec=spec, off=0.0):
-            cl = build_feedback(spec, *solve_riccati_pair(spec, g)
-                                ).as_control_law()
+            cl = build_feedback(spec, *solve_riccati_pair(spec, g))
             shift = off * np.cos(3.0 * cl.times)[:, None] * np.ones(spec.m)
             return ControlLaw(times=cl.times, gain=cl.gain,
                               mean_gain=cl.mean_gain,
@@ -602,8 +616,7 @@ def _oracle_feedback_fields(ta, P, Pi, shift=0.0):
     mean_weight = _sym(ta.Rsum + shift + DtPs @ ta.Dsum)
     mean_gain = -np.linalg.solve(
         mean_weight, _T(ta.Bsum) @ Pi + DtPs @ ta.Csum + ta.Ssum)
-    return dict(gain=gain, mean_gain=mean_gain, weight=weight,
-                mean_weight=mean_weight,
+    return dict(gain=gain, mean_gain=mean_gain,
                 margin_1=np.linalg.eigvalsh(weight[..., :m1, :m1])[..., 0],
                 margin_2=np.linalg.eigvalsh(-weight[..., m1:, m1:])[..., 0])
 
@@ -647,8 +660,9 @@ def test_feedback_and_stationarity_match_written_out_map(case):
         for name, want in ref.items():
             assert ours[name].shape == want.shape
             assert ours[name].tobytes() == want.tobytes(), name
-        law = FeedbackLaw(grid=P.grid, times=P.times,
-                          node_index=P.node_index, riccati=P.values_fine,
-                          mean_riccati=Pi.values_fine, **ours)
+        law = FeedbackLaw(times=P.times,
+                          offset=np.zeros((P.times.shape[0], spec.m)),
+                          riccati=P.values_fine, mean_riccati=Pi.values_fine,
+                          **ours)
         assert (stationarity_residual(game, law)
                 == _oracle_stationarity(game, law))
