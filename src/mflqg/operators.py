@@ -13,9 +13,9 @@ maximizer's block negative semidefinite whenever an open-loop saddle
 exists, so a sign failure on any finite section is a certificate of
 non-existence (a pass is evidence only — deterministic sections do
 not span the stochastic control space).  This module assembles such
-sections by linear response (the mean is linear in the initial state
-and the coefficients, and the covariance costs through one backward
-Lyapunov flow), checks the sign blocks, solves the sectioned saddle
+sections by linear response, chained block by block (the mean is
+linear in the initial state and the coefficients, and the covariance
+costs through one backward Lyapunov flow), checks the sign blocks, solves the sectioned saddle
 (exactly, or through the same convexifying shift used on the full
 game), and provides the two matrix facts the perturbation analysis
 rests on: the compressed Schur-complement positivity gap and the
@@ -29,8 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
+from ._integrate import _sym, _T
 from .model import CONDITION_LIMIT, ControlLaw, GameSpec, TimeGrid
-from .synthesis import _MomentEngine
+from .synthesis import _linear_path, _MomentEngine, _simpson_weights
 
 __all__ = [
     "BlockOperator",
@@ -138,6 +139,14 @@ class OperatorSection:
         return ControlLaw.from_offset(spec, self.grid, off)
 
 
+def _sample_blocks(grid: TimeGrid, blocks: int) -> np.ndarray:
+    """The block of every half-grid sample, int(t / width): a block
+    edge goes to whichever side its quotient rounds to, and t = T to
+    the last block."""
+    width = grid.T / blocks
+    return np.minimum((grid.half_times / width).astype(int), blocks - 1)
+
+
 def _basis_offsets(spec: GameSpec, grid: TimeGrid, blocks: int,
                    coeffs: np.ndarray) -> np.ndarray:
     """Map section coefficients to offset paths on the half-grid.
@@ -145,37 +154,118 @@ def _basis_offsets(spec: GameSpec, grid: TimeGrid, blocks: int,
     coeffs has shape (B, m*blocks) in channel-major order; returns
     (B, 2N+1, m) offset samples.
     """
-    times = grid.half_times
-    m = spec.m
-    width = grid.T / blocks
-    idx = np.minimum((times / width).astype(int), blocks - 1)
-    c = coeffs.reshape(coeffs.shape[0], m, blocks)
-    return c[:, :, idx].transpose(0, 2, 1) / np.sqrt(width)
+    idx = _sample_blocks(grid, blocks)
+    c = coeffs.reshape(coeffs.shape[0], spec.m, blocks)
+    return c[:, :, idx].transpose(0, 2, 1) / np.sqrt(grid.T / blocks)
 
 
 def build_section(spec: GameSpec, grid: TimeGrid,
                   basis_blocks: int) -> OperatorSection:
-    """Assemble the sectioned quadratic form by linear response.
+    """Assemble the sectioned quadratic form as a chain of blocks.
 
     Under the zero law the state mean is linear in the initial state
-    x and the coefficients c, and the covariance enters the cost only
-    through the noise-intensity mean, so one forward march of the
-    mean response and one backward Lyapunov march give the whole form
-    [x; c]' H [x; c] (``_MomentEngine.form``); O, K and M are its
-    state-state, control-state and control-control blocks.
+    x and the coefficients c, and the covariance costs through the
+    dual Lam of one backward Lyapunov march (``_MomentEngine``), so
+    the functional is a quadratic form [x; c]' H [x; c]; O, K and M
+    are its state-state, control-state and control-control blocks.
+
+    H is built block by block.  Block b's mean depends only on its
+    start state y_b and on zeta_b = (c_{b-1}, c_b, c_{b+1}): a block
+    edge is one sample shared by two blocks, and its control height
+    is that of the block ``_sample_blocks`` gives it, so the first
+    and last sample of block b may carry a neighbour's coefficients
+    (the first block's c_{-1} and the last block's c_B slots stay
+    empty).  ``_block_stages`` marches every block's response to (y_b,
+    zeta_b) at once and weighs its samples' costs, and ``_condense``
+    chains the blocks into H.  Both take the steps, samples and
+    Simpson weights of ``_MomentEngine.form`` over the basis paths,
+    which H matches to roundoff, at O(K n^2 m + blocks^2 n^2 m^2)
+    cost, with no array the size of the K samples times the basis.
     ``basis_blocks`` must divide the grid so indicator edges sit on
     nodes.
     """
     if basis_blocks < 1 or grid.N % basis_blocks != 0:
         raise ValueError("basis_blocks must divide the grid intervals")
-    n, d = spec.n, spec.m * basis_blocks
+    n, m, B = spec.n, spec.m, basis_blocks
     zero = ControlLaw.zero(spec, grid)
     eng = _MomentEngine(spec, zero.times, zero.gain, zero.mean_gain)
-    H = eng.form(_basis_offsets(spec, grid, basis_blocks, np.eye(d)))
-    op = BlockOperator.from_matrix(H[n:, n:], spec.m1 * basis_blocks)
+    P, L, Hc = _condense(*_block_stages(eng, grid, B), eng.ta.Gsum)
+    # (channel i, block b) sits at (b + 1) m + i of the padded
+    # block-major order, and at i B + b of the section's
+    order = (m * np.arange(1, B + 1) + np.arange(m)[:, None]).ravel()
+    Lc = L[:, order]
+    H = _sym(np.block([[P, Lc], [Lc.T, Hc[np.ix_(order, order)]]]))
+    op = BlockOperator.from_matrix(H[n:, n:], spec.m1 * B)
     return OperatorSection(m_section=op, k_section=H[n:, :n],
                            o_section=H[:n, :n], grid=grid,
-                           blocks=basis_blocks, m1=spec.m1, m2=spec.m2)
+                           blocks=B, m1=spec.m1, m2=spec.m2)
+
+
+def _block_stages(eng: _MomentEngine, grid: TimeGrid, blocks: int):
+    """Every block's transfer and cost in its (y_b, zeta_b) coordinates.
+
+    One ``_linear_path`` over the blocks, each on its own 2S + 1
+    samples (S segments, edges shared with the neighbours), gives the
+    mean's response Y to (y_b, zeta_b) at every sample.  The cost of a
+    sample is Y' Chat Y in Y = (mean, E[u]), with Chat the running
+    weight [[Qsum, Ssum'], [Ssum, Rsum]] plus [Csum Dsum]' Lam [Csum
+    Dsum], the covariance's cost through the diffusion mean; Simpson's
+    weights split each edge sample between its two blocks.  Returns
+    the block-end maps y_{b+1} = step_b y_b + drive_b zeta_b, (blocks,
+    n, n) and (blocks, n, 3m), and the stage forms, (blocks, n + 3m,
+    n + 3m).
+    """
+    ta = eng.ta
+    n, m = ta.n, ta.m
+    q = n + 3 * m
+    span = 2 * (grid.N // blocks)
+    b = np.arange(blocks)[:, None]
+    idx = span * b + np.arange(span + 1)
+    # E[u] in (y_b, zeta_b) at each sample: the unit height on slot s
+    # of zeta_b, for the block b - 1 + s that drives the sample
+    unit = np.eye(3 * m, q, n).reshape(3, m, q) / np.sqrt(grid.T / blocks)
+    U = unit[_sample_blocks(grid, blocks)[idx] - b + 1]
+    Y = _linear_path(ta.times[idx], ta.Asum[idx], ta.Bsum[idx] @ U,
+                     np.broadcast_to(np.eye(n, q), (blocks, n, q)))
+    CD = np.concatenate((ta.Csum, ta.Dsum), axis=-1)
+    chat = (np.block([[ta.Qsum, _T(ta.Ssum)], [ta.Ssum, eng.Rsum[0]]])
+            + _T(CD) @ eng.lyapunov() @ CD)
+    w = _simpson_weights(ta.times[idx])[..., None, None]
+    Y = np.concatenate((Y, U), axis=-2)
+    # sum over each block's samples and rows of Y' (w Chat Y)
+    wCY = ((w * chat[idx]) @ Y).reshape(blocks, -1, q)
+    stage = _T(Y.reshape(blocks, -1, q)) @ wCY
+    return Y[:, -1, :n, :n], Y[:, -1, :n, n:], stage
+
+
+def _condense(step, drive, stage, G):
+    """The chain's quadratic form, by backward cost-to-go.
+
+    The chain is y_{b+1} = step_b y_b + drive_b zeta_b with stage cost
+    [y_b; zeta_b]' stage_b [y_b; zeta_b] and terminal cost y' G y,
+    where zeta_b = c[b m : (b + 3) m] for the coefficients c in
+    block-major order padded by one empty block at either end.  The
+    cost from block b on is y_b' P y_b + 2 y_b' L c + c' Omega c; each
+    block, last first, adds its stage and folds the cost after it
+    through its maps.  Returns P, L and Omega at y_0 = x: the form's
+    state-state, state-coefficient and coefficient blocks.
+    """
+    blocks, n, q = drive.shape
+    m = q // 3
+    p = (blocks + 2) * m
+    P, L, omega = G, np.zeros((n, p)), np.zeros((p, p))
+    for b in range(blocks - 1, -1, -1):
+        z = slice(b * m, b * m + q)
+        stepT, drv, s = step[b].T, drive[b], stage[b]
+        P_drv = P @ drv
+        cross = drv.T @ L
+        omega[z] += cross
+        omega[:, z] += cross.T
+        omega[z, z] += s[n:, n:] + drv.T @ P_drv
+        L = stepT @ L
+        L[:, z] += s[:n, n:] + stepT @ P_drv
+        P = s[:n, :n] + stepT @ P @ step[b]
+    return P, L, omega
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,16 +221,13 @@ class _MomentEngine:
         """
         ta, times = self.ta, self.times
         K, n, m, d = times.shape[0], ta.n, ta.m, v.shape[0]
-        F, Gm, W, mean_gain = (a[0] for a in (self.F, self.Gm, self.W,
-                                              self.mean_gain))
+        mean_gain = self.mean_gain[0]
         # E[u] = mean_gain m + U z: U picks the offset weights out of z
         U = np.zeros((K, m, n + d))
         U[:, :, n:] = np.transpose(v, (1, 2, 0))
         Phi = _linear_path(times, ta.Asum + ta.Bsum @ mean_gain, ta.Bsum @ U,
                            np.eye(n, n + d))
-        Lam = _linear_path(times, -_vec_op(_T(F), _T(F), _T(Gm), _T(Gm)),
-                           -W.reshape(K, n * n, 1), ta.G.reshape(n * n, 1),
-                           backward=True).reshape(K, n, n)
+        Lam = self.lyapunov()
         Eu = mean_gain @ Phi + U
         g = ta.Csum @ Phi + ta.Dsum @ Eu
         Y = np.concatenate((Phi, Eu), axis=1)
@@ -241,15 +238,25 @@ class _MomentEngine:
              + Phi[-1].T @ ta.Gsum @ Phi[-1])
         return _sym(H)
 
+    def lyapunov(self) -> np.ndarray:
+        """``form``'s Lyapunov dual Lam of this engine's one law at
+        every sample, (K, n, n), by one backward march in vec form."""
+        ta, n = self.ta, self.ta.n
+        F, Gm, W = self.F[0], self.Gm[0], self.W[0]
+        return _linear_path(self.times,
+                            -_vec_op(_T(F), _T(F), _T(Gm), _T(Gm)),
+                            -W.reshape(-1, n * n, 1), ta.G.reshape(n * n, 1),
+                            backward=True).reshape(-1, n, n)
+
 
 def _simpson_weights(times: np.ndarray) -> np.ndarray:
-    """Simpson weights of a partition's samples, boundaries shared by
-    the segments on either side."""
-    h = np.diff(times[::2]) / 6.0
-    w = np.zeros(times.shape[0])
-    w[1::2] = 4.0 * h
-    w[:-1:2] += h
-    w[2::2] += h
+    """Simpson weights of a partition's samples, (..., K) for times
+    (..., K), boundaries shared by the segments on either side."""
+    h = np.diff(times[..., ::2], axis=-1) / 6.0
+    w = np.zeros(times.shape)
+    w[..., 1::2] = 4.0 * h
+    w[..., :-1:2] += h
+    w[..., 2::2] += h
     return w
 
 
@@ -268,14 +275,14 @@ def _march(M, c, h, y0):
 
     M holds the four stage operators of every segment (at its start,
     twice at its midpoint, at its end), each (..., S, p, p); c the four
-    stage forcings, each (..., S, p, q); h the S signed widths; y0 the
-    first value.  Every step is first composed, in a few stacked
-    products, into its affine map y -> Phi y + psi.  An inclusive
-    prefix scan then composes the maps of segments 1..k for every k at
-    once, in about 2 log2 S levels of stacked products, not one
-    product per segment.  A homogeneous system (c None) also returns
+    stage forcings, each (..., S, p, q); h the signed widths, (..., S),
+    one row per batch row or one row for all; y0 the first value.
+    Every step is first composed, in a few stacked products, into its
+    affine map y -> Phi y + psi.  An inclusive prefix scan then
+    composes the maps of segments 1..k for every k at once, in about 2
+    log2 S levels of stacked products, not one product per segment.  A homogeneous system (c None) also returns
     its four stage values, each (..., S, p, q)."""
-    h = h[:, None, None]
+    S, h = h.shape[-1], h[..., None, None]
     eye = np.eye(M[0].shape[-1])
     # stage j's map X_j = I + a_j h K_{j-1}, with K_1 = M1 and K_j =
     # M_j X_j; Phi = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4), summed in place
@@ -286,7 +293,7 @@ def _march(M, c, h, y0):
         Phi += wt * K
     Phi *= h / 6.0
     Phi += eye
-    y = np.zeros(y0.shape[:-2] + (len(h) + 1,) + y0.shape[-2:])
+    y = np.zeros(y0.shape[:-2] + (S + 1,) + y0.shape[-2:])
     y[..., 0, :, :] = y0
     # v[k-1] starts as map k applied to 0 (its psi), map 1's applied to
     # y0; the scan turns it into y_k = (map k after ... map 1)(y0)
@@ -320,25 +327,30 @@ def _march(M, c, h, y0):
 
 def _fill(y, f, h):
     """A march's samples: its boundary values y, (..., S + 1, p, q), at
-    even indices, Hermite midpoints from boundary slopes f at odd."""
-    path = np.empty(y.shape[:-3] + (2 * len(h) + 1,) + y.shape[-2:])
+    even indices, Hermite midpoints from boundary slopes f at odd; h
+    the widths, (..., S)."""
+    path = np.empty(y.shape[:-3] + (2 * h.shape[-1] + 1,) + y.shape[-2:])
     path[..., ::2, :, :] = y
     path[..., 1::2, :, :] = hermite_midpoint(
         y[..., :-1, :, :], y[..., 1:, :, :], f[..., :-1, :, :],
-        f[..., 1:, :, :], h[:, None, None])
+        f[..., 1:, :, :], h[..., None, None])
     return path
 
 
 def _linear_path(times, M, c, y0, backward: bool = False):
     """Samples of y' = M y + c at every time of a law's partition, for
-    M and c sampled there, (K, p, p) and (K, p, q).  ``y0`` is the
-    value at the first time, or at the last when ``backward``."""
+    M and c sampled there, (..., K, p, p) and (..., K, p, q), and times
+    (..., K): leading axes march independent systems.  ``y0``, (..., p,
+    q), is the value at the first time, or at the last when
+    ``backward``."""
+    flip = (..., slice(None, None, -1), slice(None), slice(None))
     if backward:
-        times, M, c = times[::-1], M[::-1], c[::-1]
-    h = np.diff(times[::2])
-    y = _march([M[s] for s in _STAGES], [c[s] for s in _STAGES], h, y0)
-    path = _fill(y, M[::2] @ y + c[::2], h)
-    return path[::-1] if backward else path
+        times, M, c = times[..., ::-1], M[flip], c[flip]
+    h = np.diff(times[..., ::2], axis=-1)
+    y = _march([M[..., s, :, :] for s in _STAGES],
+               [c[..., s, :, :] for s in _STAGES], h, y0)
+    path = _fill(y, M[..., ::2, :, :] @ y + c[..., ::2, :, :], h)
+    return path[flip] if backward else path
 
 
 def _mean_system(ta: _TimeArrays, mean_gain, v):

@@ -13,6 +13,7 @@ import mflqg
 from mflqg.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_PASS,
                        load_config, main)
 from mflqg.model import TimeGrid, embed_perturbation
+from mflqg.operators import build_section, check_necessary_condition
 from mflqg.riccati import solve_riccati_pair
 
 
@@ -226,6 +227,32 @@ def test_check_fails_with_witness_on_flipped_terminal(capsys, tmp_path):
     assert nc["max_eig_player_2"]["value"] > 0.9
     assert nc["witness_value"] > 0.9
     assert len(nc["witness"]) == 16
+
+
+def test_check_times_its_section_and_sign_check(capsys):
+    code, rep, _ = run(capsys, "check", "--example", "52", "--grid", "64",
+                       "--blocks", "4")
+    assert code == EXIT_PASS
+    timings = rep["timings"]
+    assert set(timings) == {"section_s", "sign_s", "total_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    # each is rounded to 1e-4 s
+    assert (timings["section_s"] + timings["sign_s"]
+            <= timings["total_s"] + 2e-4)
+    # outside timings, the report is the library's section and verdict
+    spec, _ = load_config(_EXAMPLE61.with_name("example52.json"))
+    sign = check_necessary_condition(
+        build_section(spec, TimeGrid(1.0, 64), 4), tol=1e-9)
+    rest = strip_timings(rep)
+    assert set(rest) == {"command", "config_hash", "grid", "blocks",
+                         "necessary_condition"}
+    assert (rest["command"], rest["grid"], rest["blocks"]) == ("check", 64, 4)
+    nc = rest["necessary_condition"]
+    assert set(nc) == {"passed", "conclusive", "note", "min_eig_player_1",
+                       "max_eig_player_2"}
+    assert (nc["passed"], nc["conclusive"]) == (sign.passed, sign.conclusive)
+    assert nc["min_eig_player_1"] == {"value": sign.min_eig_1, "tol": -1e-9}
+    assert nc["max_eig_player_2"] == {"value": sign.max_eig_2, "tol": 1e-9}
 
 
 # ------------------------------------------------------------ perturb

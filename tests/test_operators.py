@@ -1,13 +1,15 @@
 """Sectioned functionals, sign certificates, perturbed block inverses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mflqg.model import ControlLaw, TimeGrid, embed_perturbation
-from mflqg.operators import (BlockOperator, build_section,
-                             check_necessary_condition, contraction_norm,
-                             lemma_psd_gap, perturbed_inverse,
-                             solve_section_saddle)
+from mflqg.operators import (BlockOperator, _basis_offsets, _sample_blocks,
+                             build_section, check_necessary_condition,
+                             contraction_norm, lemma_psd_gap,
+                             perturbed_inverse, solve_section_saddle)
 from mflqg.riccati import solve_riccati_pair
 from mflqg.synthesis import _MomentEngine, build_feedback, evaluate_functional
 
@@ -119,6 +121,60 @@ def test_section_matches_polarization_on_random_games(index):
     spec = _noisy_varying_games(2026)[index]
     gap, scale = _oracle_gap(spec, TimeGrid(1.0, 256), 4)
     assert gap <= 1e-6 * scale
+
+
+def _random_game(n):
+    """The first seed-2026 random instance with n states."""
+    rng = np.random.default_rng(2026)
+    while True:
+        spec = random_instance(rng)
+        if spec.n == n:
+            return spec
+
+
+_CHAIN_GAMES = {"ex52": make_example52, "nosaddle": make_nosaddle,
+                "random-n2": lambda: _random_game(2),
+                "random-n3": lambda: _random_game(3)}
+
+
+@pytest.mark.parametrize("N, blocks", [(15, 5), (25, 5), (300, 12),
+                                       (1024, 32), (2048, 64), (40, 1)])
+@pytest.mark.parametrize("game", list(_CHAIN_GAMES))
+def test_section_chain_matches_engine_form(game, N, blocks):
+    # the chain condenses per-block responses; the zero law's form over
+    # every basis path at every sample is the same discretization
+    spec, grid = _CHAIN_GAMES[game](), TimeGrid(1.0, N)
+    sec = build_section(spec, grid, blocks)
+    zero = ControlLaw.zero(spec, grid)
+    eng = _MomentEngine(spec, zero.times, zero.gain, zero.mean_gain)
+    H = eng.form(_basis_offsets(spec, grid, blocks,
+                                np.eye(spec.m * blocks)))
+    n, tol = spec.n, 1e-12 * (1.0 + np.max(np.abs(H)))
+    np.testing.assert_allclose(sec.o_section, H[:n, :n], rtol=0, atol=tol)
+    np.testing.assert_allclose(sec.k_section, H[n:, :n], rtol=0, atol=tol)
+    np.testing.assert_allclose(sec.m_section.matrix, H[n:, n:], rtol=0,
+                               atol=tol)
+
+
+@pytest.mark.parametrize("N", [15, 25])
+def test_some_block_edges_round_into_the_left_block(N):
+    # int(t / width) gives an edge sample of these grids to the block
+    # before it, so the chain's neighbour slots carry it
+    owner = _sample_blocks(TimeGrid(1.0, N), 5)[::2 * N // 5]
+    assert (owner[1:-1] < np.arange(1, 5)).any()
+
+
+def test_section_memory_is_free_of_samples_times_basis():
+    # arrays of the K samples times the basis, as the engine's form
+    # builds them, peaked at 458 MiB here
+    spec, grid = make_example52(), TimeGrid(1.0, 2048)
+    tracemalloc.start()
+    try:
+        build_section(spec, grid, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 2**20
 
 
 def test_form_matches_moment_run_on_feedback_law():

@@ -601,6 +601,30 @@ def test_march_scan_matches_sequential_oracle(S):
             _assert_close(a, b)
 
 
+@pytest.mark.parametrize("S", [1, 4, 7])
+def test_march_over_batched_widths_matches_separate_calls(S):
+    # one row of widths per batch row, as build_section marches its
+    # blocks: one call gives each row the bits of a call of its own
+    rng = np.random.default_rng(40 + S)
+    B = 5
+    for p, q in [(1, 1), (2, 7), (3, 9)]:
+        M = [rng.standard_normal((B, S, p, p)) / np.sqrt(p)
+             for _ in range(4)]
+        c = [rng.standard_normal((B, S, p, q)) for _ in range(4)]
+        h = rng.uniform(0.5, 1.5, (B, S)) / S
+        y0 = rng.standard_normal((B, p, q))
+        forced = _march(M, c, h, y0)
+        free, stages = _march(M, None, h, y0)
+        for b in range(B):
+            Mb = [Mj[b] for Mj in M]
+            np.testing.assert_array_equal(
+                forced[b], _march(Mb, [cj[b] for cj in c], h[b], y0[b]))
+            ref, ref_stages = _march(Mb, None, h[b], y0[b])
+            np.testing.assert_array_equal(free[b], ref)
+            for a, r in zip(stages, ref_stages):
+                np.testing.assert_array_equal(a[b], r)
+
+
 # ------------------------------------------------- the shared Riccati map
 #
 # The oracles below are the feedback fields and the stationarity
